@@ -12,8 +12,9 @@ should move ``wall_seconds`` / span wall times while leaving every simulated
 number and metric snapshot bit-identical (unless it intentionally changes
 the cost model, in which case the diff documents exactly what moved).
 
-A second, optional artifact compares batched streaming ingestion against the
-monolithic pass: ``--ingest-out BENCH_ingest.json`` re-runs every graph with
+A second, optional artifact compares many-chunk streaming ingestion against
+one chunk spanning the input (``batch_edges=None``, the ``*_monolithic``
+columns): ``--ingest-out BENCH_ingest.json`` re-runs every graph with
 ``batch_edges`` chunking and records the count-parity, the peak routed-buffer
 bytes (bounded at two chunk windows), and the simulated seconds the
 double-buffered overlap hides.
@@ -105,7 +106,7 @@ def run_sweep(
 def run_ingest_sweep(
     tier: str, seed: int, num_colors: int | None = None, batch_edges: int | None = None
 ) -> dict:
-    """Batched-vs-monolithic ingest comparison -> ``BENCH_ingest.json``.
+    """Batched-vs-one-chunk ingest comparison -> ``BENCH_ingest.json``.
 
     One record per graph: both runs' counts (must agree), sample-creation and
     total simulated seconds, peak routed-buffer bytes, chunk count, and the

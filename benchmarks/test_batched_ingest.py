@@ -4,7 +4,8 @@ Unlike the figure benchmarks this module makes hard claims on the simulated
 clock: on a stream large enough that per-batch launch/transfer latencies are
 amortized, the double-buffered ingest pipeline must (a) keep the peak routed
 host buffer at two chunk windows instead of the whole stream and (b) finish
-no later than the monolithic pass — while producing the identical count.
+no later than one chunk spanning the stream — while producing the identical
+count.
 """
 
 from __future__ import annotations

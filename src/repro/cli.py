@@ -90,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="streaming-ingest chunk size in input edges: the "
                              "host samples/routes/transfers the stream in "
                              "B-edge chunks (bounded memory, double-buffered "
-                             "overlap with DPU inserts); default: monolithic "
-                             "single pass (or $REPRO_BATCH_EDGES)")
+                             "overlap with DPU inserts); default: one chunk "
+                             "(or $REPRO_BATCH_EDGES)")
     parser.add_argument("--partitioner", default=None,
                         choices=("hash", "degree", "auto"),
                         help="edge-partitioning strategy: 'hash' (universal "

@@ -141,6 +141,7 @@ class PimTriangleCounter:
         return PimTriangleCounter(
             options=replace(self.options, **overrides),
             system_config=self.system.config,
+            telemetry=self.telemetry,
         )
 
     # ---------------------------------------------------------------- inspection

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..coloring.partition import ColoringPartitioner
+from ..coloring.partition import ColoringPartitioner, EdgePartition
 from ..common.errors import ConfigurationError
 from ..common.rng import RngFactory
 from ..graph.coo import COOGraph
@@ -33,7 +33,7 @@ from ..pimsim.kernel import SimClock
 from ..pimsim.system import PimSystem
 from ..streaming.estimators import combine_dpu_counts
 from ..streaming.misra_gries import MisraGries
-from .ingest import DoubleBufferSchedule, iter_edge_batches
+from .ingest import DoubleBufferSchedule, iter_edge_batches, num_batches
 from .kernel_tc_fast import KernelCosts, _count_forward_sparse
 from .orient import orient_and_sort
 from .region_index import build_region_index
@@ -103,6 +103,11 @@ class DynamicUpdateResult:
 class DynamicPimCounter:
     """Incremental triangle counting over a stream of COO edge batches.
 
+    Each update batch streams through one chunk loop: ``batch_edges`` sets
+    the chunk size, and ``None`` makes the whole batch one chunk.  Counts do
+    not depend on the chunk size; the simulated clock overlaps host routing
+    with the cores' merges across chunks.
+
     Precondition on insertions: a batch must not contain edges already
     resident (COO appends would otherwise duplicate sample records and
     over-count, exactly as on the real system).  Deletions are idempotent —
@@ -126,8 +131,8 @@ class DynamicPimCounter:
             raise ConfigurationError("misra_gries_k and misra_gries_t go together")
         if batch_edges is not None and batch_edges < 1:
             raise ConfigurationError("batch_edges must be >= 1 or None")
-        #: Streaming-ingest chunk size for update batches; ``None`` routes and
-        #: merges each update batch in one pass (original behavior).
+        #: Streaming-ingest chunk size for update batches, in edges; ``None``
+        #: makes each update batch one chunk.
         self.batch_edges = batch_edges
         self.num_nodes = int(num_nodes)
         self.num_colors = int(num_colors)
@@ -220,8 +225,7 @@ class DynamicPimCounter:
         the resident sample, per-new-edge search + intersection) and returns
         the oriented/sorted effective edge arrays, the effective node count,
         and the core's compute seconds for this chunk.  The functional recount
-        is left to the caller — the batched path defers it to one pass after
-        the last chunk.
+        is left to the caller, which runs it once after the core's last chunk.
         """
         dpu = self.dpus.dpus[d]
         dpu.reset_charges()
@@ -321,11 +325,29 @@ class DynamicPimCounter:
         self._mg.decay_array(self._endpoint_stream(batch))
         return self._refresh_remap()
 
+    def _route(
+        self, src: np.ndarray, dst: np.ndarray
+    ) -> tuple[float, EdgePartition, float]:
+        """Host side of one routed chunk: (host seconds, partition, scatter seconds).
+
+        The host streams, hash-colors and routes only the chunk's edges;
+        inserts and deletion tombstones take the same route.
+        """
+        cost = self.system.config.cost
+        host_seconds = (
+            cost.host_edge_cycles
+            * int(src.size)
+            / (cost.host_clock_hz * cost.host_threads)
+        )
+        part = self.partitioner.assign_arrays(src, dst)
+        routed_bytes = part.counts * self.costs.edge_bytes
+        self.peak_routed_bytes = max(self.peak_routed_bytes, int(routed_bytes.sum()))
+        return host_seconds, part, self.dpus.transfer.scatter(routed_bytes).seconds
+
     def _finish_round(
-        self, batch: COOGraph, before_total: float, op: str = "insert"
+        self, before_total: float, op: str, added_edges: int = 0, removed_edges: int = 0
     ) -> DynamicUpdateResult:
         """Gather counts, apply corrections, and close one update round."""
-        cost = self.system.config.cost
         # Gather the per-core counts (8 bytes each).
         sizes = np.full(len(self.dpus), 8, dtype=np.int64)
         self.clock.advance("dynamic", self.dpus.transfer.gather(sizes).seconds)
@@ -343,96 +365,51 @@ class DynamicPimCounter:
         added = new_estimate - self._estimate
         self._estimate = new_estimate
         self._round += 1
-        self._cumulative_edges += batch.num_edges
+        self._cumulative_edges += added_edges - removed_edges
         round_seconds = self.cumulative_seconds - before_total
         return DynamicUpdateResult(
             round_index=self._round,
-            new_edges=batch.num_edges,
+            new_edges=added_edges,
             cumulative_edges=self._cumulative_edges,
             triangles_total=new_estimate,
             triangles_added=added,
             round_seconds=round_seconds,
             cumulative_seconds=self.cumulative_seconds,
             op=op,
+            removed_edges=removed_edges,
         )
 
-    def _apply_update_batched(self, batch: COOGraph) -> DynamicUpdateResult:
-        """Chunked variant of :meth:`apply_update` with overlap accounting.
+    def apply_update(self, batch: COOGraph) -> DynamicUpdateResult:
+        """Merge one batch of new edges and recount incrementally.
 
-        Routes and merges the update batch in ``batch_edges``-sized chunks —
-        per-core merged samples end up byte-identical to the monolithic pass
-        (routing is stable within every chunk and chunks arrive in stream
-        order), so the final count matches exactly — while the simulated
-        clock models host routing of chunk ``k+1`` overlapped with the cores
-        merging chunk ``k``.  The functional recount runs once over the fully
-        merged samples instead of once per chunk.
+        Routes and merges the batch in ``batch_edges``-sized chunks (``None``:
+        the whole batch is one chunk).  Per-core merged samples do not depend
+        on the chunking (routing is stable within every chunk and chunks
+        arrive in stream order), so neither does the count, while the
+        simulated clock models host routing of chunk ``k+1`` overlapped with
+        the cores merging chunk ``k``.  Each core is recounted once, right
+        after its last chunk merges.
         """
+        self._check_open()
         cost = self.system.config.cost
         before_total = self.cumulative_seconds
         remap = self._update_mg(batch)
         schedule = DoubleBufferSchedule()
-        final: list[tuple[np.ndarray, np.ndarray, int] | None] = [
-            None
-        ] * self.partitioner.num_dpus
-        for _k, s_chunk, d_chunk in iter_edge_batches(
-            batch.src, batch.dst, self.batch_edges
-        ):
-            h_k = (
-                cost.host_edge_cycles
-                * int(s_chunk.size)
-                / (cost.host_clock_hz * cost.host_threads)
-            )
-            part = self.partitioner.assign_arrays(s_chunk, d_chunk)
-            self.peak_routed_bytes = max(
-                self.peak_routed_bytes, int(part.counts.sum()) * self.costs.edge_bytes
-            )
-            xfer = self.dpus.transfer.scatter(
-                part.counts * self.costs.edge_bytes
-            ).seconds
+        chunk = self.batch_edges or max(1, batch.num_edges)
+        last = num_batches(batch.num_edges, chunk) - 1
+        for k, s_chunk, d_chunk in iter_edge_batches(batch.src, batch.dst, chunk):
+            h_k, part, xfer = self._route(s_chunk, d_chunk)
             times = []
             for d, (new_src, new_dst) in enumerate(part.per_dpu):
                 u, v, eff_nodes, seconds = self._merge_and_charge(
                     d, new_src, new_dst, remap
                 )
-                final[d] = (u, v, eff_nodes)
+                if k == last:
+                    self._raw_counts[d] = _count_forward_sparse(u, v, eff_nodes)
                 times.append(seconds)
             d_k = xfer + cost.launch_latency + (max(times) if times else 0.0)
             self.clock.advance("dynamic", schedule.step(h_k, d_k))
-        for d, state in enumerate(final):
-            if state is not None:
-                u, v, eff_nodes = state
-                self._raw_counts[d] = _count_forward_sparse(u, v, eff_nodes)
-        return self._finish_round(batch, before_total, op="insert")
-
-    def apply_update(self, batch: COOGraph) -> DynamicUpdateResult:
-        """Merge one batch of new edges and recount incrementally."""
-        self._check_open()
-        if self.batch_edges is not None:
-            return self._apply_update_batched(batch)
-        cost = self.system.config.cost
-        before_total = self.cumulative_seconds
-        # Host: stream, hash-color and route only the new edges.
-        self.clock.advance(
-            "dynamic",
-            cost.host_edge_cycles
-            * batch.num_edges
-            / (cost.host_clock_hz * cost.host_threads),
-        )
-        partition = self.partitioner.assign(batch)
-        routed_bytes = partition.counts * self.costs.edge_bytes
-        self.peak_routed_bytes = max(self.peak_routed_bytes, int(routed_bytes.sum()))
-        self.clock.advance("dynamic", self.dpus.transfer.scatter(routed_bytes).seconds)
-
-        remap = self._update_mg(batch)
-        times = []
-        for d, (new_src, new_dst) in enumerate(partition.per_dpu):
-            u, v, eff_nodes, seconds = self._merge_and_charge(d, new_src, new_dst, remap)
-            self._raw_counts[d] = _count_forward_sparse(u, v, eff_nodes)
-            times.append(seconds)
-        self.clock.advance(
-            "dynamic", cost.launch_latency + (max(times) if times else 0.0)
-        )
-        return self._finish_round(batch, before_total, op="insert")
+        return self._finish_round(before_total, "insert", added_edges=batch.num_edges)
 
     # ------------------------------------------------------------------ delete
     def _canonical_dpus(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -462,16 +439,9 @@ class DynamicPimCounter:
         self._check_open()
         cost = self.system.config.cost
         before_total = self.cumulative_seconds
-        self.clock.advance(
-            "dynamic",
-            cost.host_edge_cycles
-            * batch.num_edges
-            / (cost.host_clock_hz * cost.host_threads),
-        )
-        partition = self.partitioner.assign(batch)
-        routed_bytes = partition.counts * self.costs.edge_bytes
-        self.peak_routed_bytes = max(self.peak_routed_bytes, int(routed_bytes.sum()))
-        self.clock.advance("dynamic", self.dpus.transfer.scatter(routed_bytes).seconds)
+        host_seconds, partition, xfer = self._route(batch.src, batch.dst)
+        self.clock.advance("dynamic", host_seconds)
+        self.clock.advance("dynamic", xfer)
 
         # Deletions change which nodes are hot: retract the batch from the
         # Misra-Gries summary so stale hubs don't stay pinned in the remap.
@@ -518,33 +488,4 @@ class DynamicPimCounter:
         self.clock.advance(
             "dynamic", cost.launch_latency + (max(times) if times else 0.0)
         )
-        sizes = np.full(len(self.dpus), 8, dtype=np.int64)
-        self.clock.advance("dynamic", self.dpus.transfer.gather(sizes).seconds)
-
-        ones = np.ones(self.partitioner.num_dpus, dtype=np.float64)
-        new_estimate = int(
-            round(
-                combine_dpu_counts(
-                    self._raw_counts,
-                    ones,
-                    self.partitioner.mono_mask(),
-                    num_colors=self.num_colors,
-                )
-            )
-        )
-        added = new_estimate - self._estimate
-        self._estimate = new_estimate
-        self._round += 1
-        self._cumulative_edges -= removed_edges
-        round_seconds = self.cumulative_seconds - before_total
-        return DynamicUpdateResult(
-            round_index=self._round,
-            new_edges=0,
-            cumulative_edges=self._cumulative_edges,
-            triangles_total=new_estimate,
-            triangles_added=added,
-            round_seconds=round_seconds,
-            cumulative_seconds=self.cumulative_seconds,
-            op="delete",
-            removed_edges=removed_edges,
-        )
+        return self._finish_round(before_total, "delete", removed_edges=removed_edges)

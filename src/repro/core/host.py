@@ -43,9 +43,10 @@ from ..pimsim.system import DpuSet, PimSystem
 from ..streaming.estimators import combine_dpu_counts
 from ..streaming.misra_gries import MisraGries
 from ..streaming.reservoir import EdgeReservoir, reservoir_scale
+# uniform_sample is unused here; perfbench/layers.py wraps it at this module path.
 from ..streaming.uniform import uniform_keep_mask, uniform_sample
 from ..telemetry.metrics import DEFAULT_FRACTION_BUCKETS
-from ..telemetry.spans import SpanRecord, Telemetry
+from ..telemetry.spans import Telemetry
 from .ingest import DoubleBufferSchedule, iter_edge_batches, num_batches
 from .kernel_tc_fast import KernelCosts, TriangleCountKernel
 from .remap import RemapTable
@@ -54,50 +55,16 @@ from .result import KernelAggregate, TcResult
 __all__ = ["PimTcOptions", "PimTcPipeline"]
 
 
-def _insert_sample(dpu: Dpu, payload: tuple) -> tuple[int, float]:
-    """Per-DPU sample-insertion task (runs on the configured executor).
-
-    Inserts one core's routed edge batch into its MRAM, applying reservoir
-    replacement when the batch exceeds capacity, and charges the DPU for the
-    insert work.  Module-level and fed a pre-derived per-DPU RNG stream so the
-    process engine can pickle it; the stream derivation is stateless, so
-    results are bit-identical to the serial path.
-    """
-    s_arr, d_arr, capacity, rng, costs, remap_nodes = payload
-    dpu.reset_charges()
-    n_in = int(s_arr.size)
-    if n_in > capacity:
-        reservoir = EdgeReservoir(capacity, rng)
-        reservoir.offer_batch(s_arr, d_arr)
-        keep_src, keep_dst = reservoir.edges()
-        stored = int(keep_src.size)
-        # Replacement bookkeeping costs a few extra instructions/edge.
-        insert_instr = n_in * (costs.insert_instr_per_edge + 4.0)
-    else:
-        keep_src, keep_dst = s_arr, d_arr
-        stored = n_in
-        insert_instr = n_in * costs.insert_instr_per_edge
-    dpu.charge_balanced(insert_instr)
-    per_tasklet_bytes = stored * costs.edge_bytes / dpu.config.num_tasklets
-    for tk in range(dpu.config.num_tasklets):
-        dpu.charge_mram_write(tk, int(per_tasklet_bytes), requests=1)
-    dpu.mram.store("sample_src", keep_src.astype(np.int32), count_write=False)
-    dpu.mram.store("sample_dst", keep_dst.astype(np.int32), count_write=False)
-    if remap_nodes is not None:
-        dpu.mram.store("remap_table", remap_nodes, count_write=False)
-    return n_in, dpu.compute_seconds()
-
-
 def _ingest_chunk(dpu: Dpu, payload: tuple) -> tuple[EdgeReservoir, int, float]:
-    """Per-DPU batched-ingest task: offer one routed chunk to the core's reservoir.
+    """Per-DPU ingest task: offer one routed chunk to the core's reservoir.
 
-    The streaming analogue of :func:`_insert_sample`: the reservoir persists
-    across chunks (its ``seen`` counter keeps the global arrival index, so
-    chunked offers reproduce the sequential acceptance distribution) and
-    travels through the payload/result so the process engine's pickled copy —
-    including its advanced RNG state — makes it back to the parent.  Final
-    reservoir contents are materialized into MRAM by the host after the last
-    chunk; this task only mutates the reservoir and charges the insert work.
+    Runs on the configured executor.  The reservoir persists across chunks
+    (its ``seen`` counter keeps the global arrival index, so chunked offers
+    reproduce the sequential acceptance distribution) and travels through the
+    payload/result so the process engine's pickled copy — including its
+    advanced RNG state — makes it back to the parent.  Final reservoir
+    contents are materialized into MRAM by the host after the last chunk;
+    this task only mutates the reservoir and charges the insert work.
     """
     reservoir, s_arr, d_arr, costs = payload
     dpu.reset_charges()
@@ -106,8 +73,7 @@ def _ingest_chunk(dpu: Dpu, payload: tuple) -> tuple[EdgeReservoir, int, float]:
         return reservoir, 0, 0.0
     overflow = reservoir.seen + n_in > reservoir.capacity
     stored = reservoir.offer_batch(s_arr, d_arr)
-    # Replacement bookkeeping costs a few extra instructions/edge (same
-    # constant as the monolithic path).
+    # Replacement bookkeeping costs a few extra instructions/edge.
     extra = 4.0 if overflow else 0.0
     dpu.charge_balanced(n_in * (costs.insert_instr_per_edge + extra))
     per_tasklet_bytes = stored * costs.edge_bytes / dpu.config.num_tasklets
@@ -129,7 +95,7 @@ class _PreparedRun:
     capacity: int
     wall_start: float
     edges_kept: int
-    #: Number of ingest chunks (1 for the monolithic path).
+    #: Number of ingest chunks (0 for an empty input).
     ingest_batches: int = 1
     #: Peak bytes of routed edge buffers resident on the host at once.
     peak_routed_bytes: int = 0
@@ -139,7 +105,7 @@ class _PreparedRun:
     #: Misra-Gries remap table broadcast to the cores (None when disabled).
     remap_nodes: np.ndarray | None = None
     #: Triplet -> physical core map after between-batch rebalancing;
-    #: ``None`` means the identity (monolithic path, or no rebalance fired).
+    #: ``None`` means the identity (no rebalance fired).
     dpu_of_triplet: np.ndarray | None = None
     #: One record per rebalance event (batch index, trigger cv, moved work).
     rebalances: list = field(default_factory=list)
@@ -179,16 +145,12 @@ class PimTcOptions:
     #: core.kernel_tc_vec) or "probe" (binary-search wedge checks; see
     #: core.kernel_tc_probe).
     kernel_variant: str = "merge"
-    #: Host-side per-core batch buffer, in edges.  The paper's host flushes
-    #: each core's batch array to the PIM side as it fills while streaming the
-    #: input file; ``None`` models one bulk scatter (batch = whole sample).
-    transfer_batch_edges: int | None = None
-    #: Streaming-ingest chunk size in *input* edges.  ``None`` keeps the
-    #: monolithic single-pass pipeline.  When set, the host processes the
+    #: Streaming-ingest chunk size in *input* edges.  The host processes the
     #: edge stream in chunks of this size — sample, Misra-Gries update,
     #: route, transfer, reservoir insert — bounding routed-buffer memory at
     #: ``O(batch_edges * C)`` and overlapping host routing of chunk ``k+1``
-    #: with DPU insertion of chunk ``k`` (double buffering).
+    #: with DPU insertion of chunk ``k`` (double buffering).  ``None`` means
+    #: one chunk that spans the whole input.
     batch_edges: int | None = None
     #: Partitioning strategy: "hash" (universal hash coloring, the paper's),
     #: "degree" (degree-based hub placement, Kolountzakis et al.), or "auto"
@@ -217,8 +179,6 @@ class PimTcOptions:
                 f"kernel_variant must be 'merge', 'fastvec' or 'probe', "
                 f"got {self.kernel_variant!r}"
             )
-        if self.transfer_batch_edges is not None and self.transfer_batch_edges < 1:
-            raise ConfigurationError("transfer_batch_edges must be >= 1 or None")
         if self.batch_edges is not None and self.batch_edges < 1:
             raise ConfigurationError("batch_edges must be >= 1 or None")
         if not (0.0 < self.uniform_p <= 1.0):
@@ -338,7 +298,7 @@ class PimTcPipeline:
     def _setup_phase(
         self, graph: COOGraph, kernel, clock: SimClock, rngs: RngFactory
     ) -> tuple[ColoringPartitioner, DpuSet]:
-        """Setup phase shared by the monolithic and batched ingest paths."""
+        """Setup phase: coloring, core allocation, kernel load, graph load."""
         opts = self.active_options
         cost = self.system.config.cost
         with self.telemetry.span("setup", clock=clock):
@@ -365,194 +325,19 @@ class PimTcPipeline:
         return partitioner, dpus
 
     def _prepare(self, graph: COOGraph, kernel) -> "_PreparedRun":
-        """Setup + sample-creation phases, shared by global and local counting."""
-        if self.active_options.batch_edges is not None:
-            return self._prepare_batched(graph, kernel)
-        opts = self.active_options
-        cost = self.system.config.cost
-        rngs = RngFactory(opts.seed)
-        wall_start = time.perf_counter()
-        clock = SimClock()
-        tel = self.telemetry
-        partitioner, dpus = self._setup_phase(graph, kernel, clock, rngs)
+        """Setup + sample creation, shared by global and local counting.
 
-        # ------------------------------------------------------- sample creation
-        with tel.span("sample_creation", clock=clock):
-            # Uniform sampling happens while streaming the file: every input
-            # edge is read and hashed; only kept edges are routed.
-            with tel.span("uniform_sample", clock=clock):
-                clock.advance(
-                    "sample_creation",
-                    self._host_seconds(cost.host_edge_cycles, graph.num_edges),
-                )
-                sample = uniform_sample(graph, opts.uniform_p, rngs.stream("uniform"))
-                kept = sample.graph
-
-            remap_payload: RemapTable | None = None
-            if opts.misra_gries_k > 0:
-                with tel.span("misra_gries", clock=clock):
-                    remap_payload = self._run_misra_gries(kept, clock)
-
-            with tel.span("partition", clock=clock):
-                partition = partitioner.assign(kept)
-                edge_bytes = opts.kernel_costs.edge_bytes
-                routed_bytes = partition.counts * edge_bytes
-                # Batch assembly memcpy on the host.
-                clock.advance(
-                    "sample_creation",
-                    float(routed_bytes.sum()) / cost.host_memcpy_bandwidth,
-                )
-            # Rank-padded parallel scatter of the batches.  With a finite batch
-            # buffer the host flushes every time the fullest core's buffer fills,
-            # so the transfer happens in rounds; each round moves at most
-            # ``batch`` edges per core and pays the per-transfer latency.
-            with tel.span("scatter", clock=clock) as scatter_span:
-                if opts.transfer_batch_edges is None:
-                    stats = dpus.transfer.scatter(routed_bytes)
-                    clock.advance("sample_creation", stats.seconds)
-                    dpus.trace.record(
-                        "sample_creation", "scatter", stats.seconds, stats.payload_bytes,
-                        "edge batches",
-                    )
-                    dpus.note_dpu_xfer(routed_bytes)
-                    rounds = 1
-                else:
-                    batch = int(opts.transfer_batch_edges)
-                    remaining = partition.counts.astype(np.int64).copy()
-                    rounds = 0
-                    while remaining.max(initial=0) > 0:
-                        this_round = np.minimum(remaining, batch)
-                        stats = dpus.transfer.scatter(this_round * edge_bytes)
-                        clock.advance("sample_creation", stats.seconds)
-                        dpus.trace.record(
-                            "sample_creation",
-                            "scatter",
-                            stats.seconds,
-                            stats.payload_bytes,
-                            f"edge batch round {rounds}",
-                        )
-                        remaining -= this_round
-                        rounds += 1
-                    dpus.note_dpu_xfer(routed_bytes)
-                if scatter_span is not None:
-                    scatter_span.attrs["rounds"] = rounds
-            if remap_payload is not None and remap_payload.t > 0:
-                with tel.span("broadcast_remap", clock=clock):
-                    stats = dpus.transfer.broadcast(remap_payload.nbytes(), len(dpus))
-                    clock.advance("sample_creation", stats.seconds)
-                    dpus.trace.record(
-                        "sample_creation", "broadcast", stats.seconds,
-                        stats.payload_bytes, "remap_table",
-                    )
-                    dpus.note_dpu_xfer(remap_payload.nbytes())
-
-            capacity = self._reservoir_capacity()
-            remap_nodes = (
-                remap_payload.nodes
-                if remap_payload is not None and remap_payload.t > 0
-                else None
-            )
-            payloads = [
-                (
-                    s_arr,
-                    d_arr,
-                    capacity,
-                    rngs.stream("reservoir", index=d),
-                    opts.kernel_costs,
-                    remap_nodes,
-                )
-                for d, (s_arr, d_arr) in enumerate(partition.per_dpu)
-            ]
-            with tel.span("insert", clock=clock):
-                if tel.enabled and tel.detail:
-                    timed = dpus.executor.map_dpus_timed(
-                        _insert_sample, dpus.dpus, payloads
-                    )
-                    inserted = [result for result, _ in timed]
-                    tel.attach_records(
-                        [
-                            SpanRecord(
-                                name=f"dpu{d}",
-                                wall_seconds=wall,
-                                sim_seconds=result[1],
-                            )
-                            for d, (result, wall) in enumerate(timed)
-                        ]
-                    )
-                else:
-                    inserted = dpus.executor.map_dpus(_insert_sample, dpus.dpus, payloads)
-                seen = np.array([n_in for n_in, _ in inserted], dtype=np.int64)
-                insert_times = [seconds for _, seconds in inserted]
-                insert_seconds = cost.launch_latency + (
-                    max(insert_times) if insert_times else 0.0
-                )
-                clock.advance("sample_creation", insert_seconds)
-                dpus.trace.record(
-                    "sample_creation", "launch", insert_seconds,
-                    detail="sample insert / reservoir",
-                )
-        self._record_sample_metrics(
-            graph.num_edges, kept.num_edges, partition.counts, seen, capacity
-        )
-        edge_bytes = opts.kernel_costs.edge_bytes
-        return _PreparedRun(
-            clock=clock,
-            dpus=dpus,
-            partitioner=partitioner,
-            routed_counts=partition.counts,
-            uniform_p=sample.p,
-            seen=seen,
-            capacity=capacity,
-            wall_start=wall_start,
-            edges_kept=kept.num_edges,
-            ingest_batches=1,
-            # Monolithic routing materializes every per-core buffer at once.
-            peak_routed_bytes=int(partition.counts.sum()) * edge_bytes,
-            insert_seconds=np.array(insert_times, dtype=np.float64),
-            remap_nodes=remap_nodes,
-        )
-
-    def _scatter_seconds(
-        self, dpus: DpuSet, counts: np.ndarray, edge_bytes: int
-    ) -> tuple[float, int, int]:
-        """Aggregate scatter cost of one routed chunk: (seconds, bytes, rounds).
-
-        Mirrors the monolithic scatter loop — honoring ``transfer_batch_edges``
-        flush rounds — but returns the cost instead of advancing the clock, so
-        the batched path can fold it into the overlapped device time.
-        """
-        opts = self.active_options
-        if opts.transfer_batch_edges is None:
-            stats = dpus.transfer.scatter(counts * edge_bytes)
-            return stats.seconds, stats.payload_bytes, 1
-        batch = int(opts.transfer_batch_edges)
-        remaining = counts.astype(np.int64).copy()
-        seconds = 0.0
-        payload = 0
-        rounds = 0
-        while remaining.max(initial=0) > 0:
-            this_round = np.minimum(remaining, batch)
-            stats = dpus.transfer.scatter(this_round * edge_bytes)
-            seconds += stats.seconds
-            payload += stats.payload_bytes
-            remaining -= this_round
-            rounds += 1
-        return seconds, payload, rounds
-
-    def _prepare_batched(self, graph: COOGraph, kernel) -> "_PreparedRun":
-        """Chunked streaming ingest with double-buffered host/device overlap.
-
-        Processes the input edge stream in ``batch_edges``-sized chunks.  For
-        each chunk the host draws the uniform keep-mask (consecutive draws
-        from one stream — bit-identical to the monolithic mask), updates the
-        Misra-Gries summary, colors and routes the survivors, and hands the
-        per-core arrays to the execution engine while it starts routing the
-        *next* chunk; :class:`DoubleBufferSchedule` turns the per-chunk host
-        and device seconds into overlapped clock advances.  Per-core
-        reservoirs persist across chunks, so acceptance probabilities use
-        global arrival indices (sequential distribution, property-tested);
-        when no reservoir overflows the final MRAM contents are bit-identical
-        to the monolithic path.
+        Streams the input edges in ``batch_edges``-sized chunks (``None``: one
+        chunk spanning the input).  For each chunk the host draws the uniform
+        keep-mask (consecutive draws from one stream, so the mask does not
+        depend on the chunking), updates the Misra-Gries summary, colors and
+        routes the survivors, and hands the per-core arrays to the execution
+        engine while it starts routing the *next* chunk;
+        :class:`DoubleBufferSchedule` turns the per-chunk host and device
+        seconds into overlapped clock advances.  Per-core reservoirs persist
+        across chunks, so acceptance probabilities use global arrival indices
+        (sequential distribution, property-tested); when no reservoir
+        overflows the final MRAM contents do not depend on the chunking.
 
         Engine invariance: every quantity fed to the schedule — keep-masks,
         partition counts, reservoir offers via per-DPU derived RNG streams,
@@ -588,7 +373,8 @@ class PimTcPipeline:
         dpu_of_triplet = np.arange(num_dpus, dtype=np.int64)
         rebalanced = False
         rebalances: list[dict] = []
-        batches_total = num_batches(graph.num_edges, opts.batch_edges)
+        batch_edges = opts.batch_edges or max(1, graph.num_edges)
+        batches_total = num_batches(graph.num_edges, batch_edges)
         pending: tuple | None = None  # (k, h_k, xfer_s, xfer_b, join, perm, targets, kept_k)
 
         def drain(entry: tuple) -> None:
@@ -635,7 +421,7 @@ class PimTcPipeline:
                 "heartbeat",
                 batch=int(k),
                 batches_total=int(batches_total),
-                edges_streamed=int(min((k + 1) * opts.batch_edges, graph.num_edges)),
+                edges_streamed=int(min((k + 1) * batch_edges, graph.num_edges)),
                 edges_total=int(graph.num_edges),
                 edges_kept=int(kept_k),
                 routed_bytes=int(xfer_bytes),
@@ -646,7 +432,7 @@ class PimTcPipeline:
 
         with tel.span("sample_creation", clock=clock):
             for k, s_chunk, d_chunk in iter_edge_batches(
-                graph.src, graph.dst, opts.batch_edges
+                graph.src, graph.dst, batch_edges
             ):
                 # Host side of chunk k: stream + sample + summarize + route.
                 h_k = self._host_seconds(cost.host_edge_cycles, int(s_chunk.size))
@@ -685,12 +471,11 @@ class PimTcPipeline:
                 # rank padding depends on which physical core each triplet's
                 # bytes land on (identity map -> identical to the pre-map
                 # ordering, so hash baselines stay bit-exact).
-                core_counts = np.zeros(num_dpus, dtype=np.int64)
-                core_counts[dpu_of_triplet] = part.counts
-                xfer_seconds, xfer_bytes, _rounds = self._scatter_seconds(
-                    dpus, core_counts, edge_bytes
-                )
-                dpus.note_dpu_xfer(core_counts * edge_bytes)
+                core_bytes = np.zeros(num_dpus, dtype=np.int64)
+                core_bytes[dpu_of_triplet] = part.counts * edge_bytes
+                stats = dpus.transfer.scatter(core_bytes)
+                xfer_seconds, xfer_bytes = stats.seconds, stats.payload_bytes
+                dpus.note_dpu_xfer(core_bytes)
                 # Payloads are built only after the previous join so the
                 # process engine's returned reservoirs (fresh RNG state) are
                 # the ones offered the next chunk.
@@ -1059,11 +844,10 @@ class PimTcPipeline:
         """Fold one edge chunk's node stream into ``merged`` (per-thread splits).
 
         The chunk's interleaved node stream is split across the model's host
-        threads, each summarized locally, and merged — the same merged-summary
-        scheme the monolithic pass uses over the whole stream.  Note that
-        Misra-Gries merged summaries are not split-invariant: chunked runs can
-        produce a different (still valid, still within the ``n/K`` error
-        guarantee) summary than one monolithic pass.
+        threads, each summarized locally, and merged.  Note that Misra-Gries
+        merged summaries are not split-invariant: different chunk sizes can
+        produce different (still valid, still within the ``n/K`` error
+        guarantee) summaries.
         """
         stream = np.empty(2 * int(src.size), dtype=np.int64)
         stream[0::2] = src
@@ -1085,18 +869,6 @@ class PimTcPipeline:
                 len(top)
             )
         return RemapTable(nodes=np.array(top, dtype=np.int64), num_nodes=num_nodes)
-
-    def _run_misra_gries(self, kept: COOGraph, clock: SimClock) -> RemapTable:
-        """Per-thread Misra-Gries over the node stream, merged, top-t extracted."""
-        merged = MisraGries(self.active_options.misra_gries_k)
-        self._mg_update(merged, kept.src, kept.dst)
-        clock.advance(
-            "sample_creation",
-            self._host_seconds(
-                self.active_options.mg_host_cycles_per_edge, kept.num_edges
-            ),
-        )
-        return self._mg_table(merged, kept.num_nodes)
 
     @staticmethod
     def _aggregate(dpus) -> KernelAggregate:

@@ -3,12 +3,13 @@
 The paper's host streams the COO file and routes edges to the PIM cores as it
 reads them (Sec. 3.1-3.3); nothing in DOULION-style uniform sampling, the
 Misra-Gries summary, or TRIEST-style reservoir insertion needs the whole
-edge list in memory — all three are one-pass streaming schemes.  The batched
-ingest pipeline therefore processes the stream in fixed-size chunks of
-``batch_edges`` edges, bounding the host's routed-buffer memory at
-``O(batch_edges * C)`` instead of ``O(|E| * C)``.
+edge list in memory — all three are one-pass streaming schemes.  The ingest
+pipeline therefore processes the stream in fixed-size chunks of
+``batch_edges`` edges (``None``: one chunk spanning the stream), bounding
+the host's routed-buffer memory at ``O(batch_edges * C)`` instead of
+``O(|E| * C)``.
 
-Chunking also exposes pipeline parallelism the monolithic pass cannot: while
+Chunking also exposes pipeline parallelism a single chunk cannot: while
 the DPUs insert batch ``k`` (scatter + reservoir merge), the host routes
 batch ``k + 1``.  :class:`DoubleBufferSchedule` models that overlap on the
 simulated clock.  With host-route seconds ``h_k`` and device (transfer +

@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="B",
         help="run every pipeline the experiments build with streaming ingest "
              "in B-edge chunks (sets REPRO_BATCH_EDGES for this run); default: "
-             "monolithic single-pass ingest",
+             "one chunk",
     )
     parser.add_argument(
         "--partitioner",

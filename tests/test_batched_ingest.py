@@ -2,10 +2,11 @@
 
 The contract under test (see docs/architecture.md, "Batched ingest"):
 
-* batched runs produce **bit-identical estimates** to the monolithic pass on
-  the differential grid (both kernels x every execution engine), because the
-  uniform keep-mask is drawn from one stream chunk-by-chunk, routing uses one
-  fixed color hash, and reservoir offers index by the global ``seen`` counter;
+* ``batch_edges=None`` is one chunk spanning the input, and many-chunk runs
+  produce **bit-identical estimates** to it on the differential grid (both
+  kernels x every execution engine), because the uniform keep-mask is drawn
+  from one stream chunk-by-chunk, routing uses one fixed color hash, and
+  reservoir offers index by the global ``seen`` counter;
 * host routed-buffer memory is bounded: ``peak_routed_bytes`` tracks at most
   two chunks' routed copies (double buffering), not the whole stream's;
 * the overlap model charges ``max(host, device)`` per steady-state batch, so
@@ -111,6 +112,36 @@ class TestBatchedMonolithicParity:
         mono = _count(small_graph)
         batched = _count(small_graph, batch_edges=batch)
         assert batched.estimate == mono.estimate
+
+    @pytest.mark.parametrize(
+        "opts",
+        (
+            {},
+            {
+                "uniform_p": 0.5,
+                "reservoir_capacity": 60,
+                "misra_gries_k": 64,
+                "misra_gries_t": 8,
+            },
+        ),
+    )
+    def test_unchunked_is_one_chunk(self, small_graph, opts):
+        # ``batch_edges=None`` is the one-chunk case of the chunked pipeline:
+        # every observable output matches a chunk spanning the whole input.
+        def run(batch_edges):
+            tel = Telemetry()
+            result = _count(small_graph, batch_edges=batch_edges, telemetry=tel, **opts)
+            return result, tel
+
+        unchunked, unchunked_tel = run(None)
+        for batch in (small_graph.num_edges, 10**9):
+            one, one_tel = run(batch)
+            assert one.estimate == unchunked.estimate
+            assert np.array_equal(one.per_dpu_counts, unchunked.per_dpu_counts)
+            assert one.clock.phases == unchunked.clock.phases
+            assert one.trace.events == unchunked.trace.events
+            assert one_tel.span_signature() == unchunked_tel.span_signature()
+            assert one_tel.metrics.snapshot() == unchunked_tel.metrics.snapshot()
 
     def test_uniform_sampling_parity(self, small_graph):
         # Chunked keep-mask draws are consecutive draws from the same stream:

@@ -7,6 +7,7 @@ import pytest
 from repro import PimTriangleCounter
 from repro.graph.triangles import count_triangles
 from repro.pimsim.config import PimSystemConfig
+from repro.telemetry import Telemetry
 
 
 class TestConstruction:
@@ -44,6 +45,14 @@ class TestCounting:
         assert approx.options.uniform_p == 0.5
         assert approx.options.num_colors == 3
         assert base.options.uniform_p == 1.0  # original untouched
+
+    def test_with_options_keeps_telemetry(self, small_graph):
+        tel = Telemetry()
+        base = PimTriangleCounter(num_colors=3, seed=1, telemetry=tel)
+        approx = base.with_options(uniform_p=0.5)
+        assert approx.telemetry is tel
+        approx.count(small_graph)
+        assert tel.metrics.get("pipeline.runs").value == 1
 
     def test_num_dpus_tracks_colors(self):
         assert PimTriangleCounter(num_colors=23).num_dpus == 2300

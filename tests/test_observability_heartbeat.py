@@ -72,10 +72,16 @@ class TestHeartbeat:
         elapsed = [b["sim_elapsed_seconds"] for b in beats]
         assert elapsed == sorted(elapsed)
 
-    def test_monolithic_ingest_emits_no_heartbeats(self):
+    def test_unchunked_ingest_emits_one_heartbeat(self):
         graph = make_graph()
         result, events = run_with_sink(graph, batch_edges=None)
-        assert not [e for e, _ in events if e == "heartbeat"]
+        beats = [fields for event, fields in events if event == "heartbeat"]
+        assert len(beats) == 1
+        assert beats[0]["batch"] == 0
+        assert beats[0]["batches_total"] == 1
+        assert beats[0]["edges_streamed"] == graph.num_edges
+        assert beats[0]["eta_sim_seconds"] == 0.0
+        assert result.meta["ingest_batches"] == 1
 
     @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_heartbeats_engine_invariant(self, executor):

@@ -23,20 +23,29 @@ class TestPhaseAttribution:
             )
 
     def test_operation_spans_nest_under_phases(self, small_graph):
-        tel = Telemetry()
-        PimTriangleCounter(num_colors=3, seed=1, telemetry=tel).count(small_graph)
-        for path in (
-            "setup/alloc",
-            "setup/load_kernel",
-            "sample_creation/uniform_sample",
-            "sample_creation/partition",
-            "sample_creation/scatter",
-            "sample_creation/insert",
-            "triangle_count/launch",
-            "triangle_count/gather",
-            "triangle_count/correction",
+        # An unchunked run streams the input as one ingest chunk; the
+        # Misra-Gries table is extracted and broadcast after the last chunk.
+        for mg, sample_spans in (
+            ({}, ["batch[0]"]),
+            (
+                {"misra_gries_k": 16, "misra_gries_t": 4},
+                ["batch[0]", "misra_gries", "broadcast_remap"],
+            ),
         ):
-            assert tel.find(path) is not None, path
+            tel = Telemetry()
+            PimTriangleCounter(num_colors=3, seed=1, telemetry=tel, **mg).count(
+                small_graph
+            )
+            for path in (
+                "setup/alloc",
+                "setup/load_kernel",
+                "triangle_count/launch",
+                "triangle_count/gather",
+                "triangle_count/correction",
+            ):
+                assert tel.find(path) is not None, path
+            sample = tel.find("sample_creation")
+            assert [child.name for child in sample.children] == sample_spans
 
     def test_detail_mode_adds_per_dpu_spans(self, small_graph):
         tel = Telemetry(detail=True)
