@@ -6,18 +6,26 @@ already-sorted sample, and the counting kernel processes just the new edges'
 wedges.  This module drives that loop:
 
 * :class:`DynamicPimCounter` keeps the coloring (the hash is drawn once, so
-  node colors are stable across updates) and each core's resident sample.
+  node colors are stable across updates) and each core's resident sample,
+  sorted between rounds.
 * ``apply_update(batch)`` routes, transfers and merges the batch, charges the
   incremental kernel work (sort of the batch + one merge pass over the sample
   + per-new-edge binary search and merge intersection), and returns the new
   global count with the monochromatic correction re-applied.
 
-Functional counts are obtained by recounting each core's updated sample with
-the exact sparse-algebra routine and differencing — bit-identical to what an
-incremental kernel computes, with the *time* charged for the incremental
-work only (the recount is a simulator implementation detail; see DESIGN.md).
-Reservoir and uniform sampling are disabled on this path, matching the
-paper's dynamic experiment which counts exactly.
+The functional arithmetic does the same incremental work.  Each core keeps
+its sample as one sorted key array (both orientations of every edge, so a
+node's neighbours are one slice); a round sorts only the core's routed
+delta, merges it in, and counts only the triangles that contain a delta
+edge: each delta edge intersects its endpoints' neighbour slices, and a
+triangle holding ``k`` delta edges weighs ``1/k``.  Deletions count the same
+way against the pre-deletion sample and subtract, on the cores that received
+tombstones only.  Inserts have set semantics (self-loops, repeats and
+resident edges are ignored), which is what makes the delta exact.
+:meth:`DynamicPimCounter.recount` recounts every core from scratch — the
+oracle the tests hold the incremental counts to.  Reservoir and uniform
+sampling are disabled on this path, matching the paper's dynamic experiment
+which counts exactly.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..coloring.partition import ColoringPartitioner, EdgePartition
-from ..common.errors import ConfigurationError
+from ..common.errors import ConfigurationError, GraphFormatError
 from ..common.rng import RngFactory
 from ..graph.coo import COOGraph
 from ..pimsim.config import PimSystemConfig
@@ -33,10 +41,10 @@ from ..pimsim.kernel import SimClock
 from ..pimsim.system import PimSystem
 from ..streaming.estimators import combine_dpu_counts
 from ..streaming.misra_gries import MisraGries
-from .ingest import DoubleBufferSchedule, iter_edge_batches, num_batches
+from .ingest import DoubleBufferSchedule, iter_edge_batches
 from .kernel_tc_fast import KernelCosts, _count_forward_sparse
 from .orient import orient_and_sort
-from .region_index import build_region_index
+from .region_index import binary_search_steps, build_region_index, expand_slices
 from .remap import RemapTable, apply_remap
 
 __all__ = ["DynamicUpdateResult", "DynamicPimCounter"]
@@ -47,8 +55,10 @@ class DynamicUpdateResult:
 
     ``new_edges`` counts edges *added* by an insert round and is 0 for
     deletions; ``removed_edges`` counts logical edges actually dropped by a
-    delete round (tombstones for absent edges are not counted) and is 0 for
-    inserts.
+    delete round and is 0 for inserts.  ``ignored_edges`` counts the batch's
+    records that changed nothing: self-loops, repeats within the batch
+    (either orientation) and edges already resident on insert; tombstones
+    for absent edges and repeats on delete.
     """
 
     def __init__(
@@ -62,6 +72,7 @@ class DynamicUpdateResult:
         cumulative_seconds: float,
         op: str = "insert",
         removed_edges: int = 0,
+        ignored_edges: int = 0,
     ) -> None:
         self.round_index = round_index
         self.new_edges = new_edges
@@ -72,6 +83,7 @@ class DynamicUpdateResult:
         self.cumulative_seconds = cumulative_seconds
         self.op = op
         self.removed_edges = removed_edges
+        self.ignored_edges = ignored_edges
 
     def to_dict(self) -> dict:
         """JSON-ready view (service responses, NDJSON events, reports)."""
@@ -80,6 +92,7 @@ class DynamicUpdateResult:
             "op": self.op,
             "new_edges": int(self.new_edges),
             "removed_edges": int(self.removed_edges),
+            "ignored_edges": int(self.ignored_edges),
             "cumulative_edges": int(self.cumulative_edges),
             "triangles_total": int(self.triangles_total),
             "triangles_added": int(self.triangles_added),
@@ -100,6 +113,68 @@ class DynamicUpdateResult:
         )
 
 
+def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Membership of each query in the sorted array ``keys``."""
+    if not keys.size:
+        return np.zeros(queries.shape, dtype=bool)
+    pos = np.searchsorted(keys, queries)
+    return keys[np.minimum(pos, keys.size - 1)] == queries
+
+
+def _forward_degrees(keys: np.ndarray, nodes: np.ndarray, n1: np.int64) -> np.ndarray:
+    """Neighbours of each node with a larger ID: its region length in the
+    ``u < v`` oriented sample."""
+    end, past_self = np.searchsorted(
+        keys, np.concatenate(((nodes + 1) * n1, nodes * n1 + nodes + 1))
+    ).reshape(2, -1)
+    return end - past_self
+
+
+def _merge(old: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted ``delta`` into sorted ``old`` (disjoint key sets).
+
+    Returns the merged keys and a mask marking where ``delta``'s keys landed.
+    """
+    at = np.searchsorted(old, delta) + np.arange(delta.size)
+    marked = np.zeros(old.size + delta.size, dtype=bool)
+    marked[at] = True
+    keys = np.empty(marked.size, dtype=np.int64)
+    keys[at] = delta
+    keys[~marked] = old
+    return keys, marked
+
+
+def _delta_triangles(
+    keys: np.ndarray, marked: np.ndarray, a: np.ndarray, b: np.ndarray, n1: np.int64
+) -> int:
+    """Triangles of a core's sample that hold at least one of the edges ``(a, b)``.
+
+    ``keys`` is the sample as sorted ``x * n1 + y`` keys over both
+    orientations of every edge; it holds every ``(a, b)`` edge (distinct,
+    ``a < b``), and ``marked`` flags their keys.  Each such edge walks the
+    shorter of its endpoints' neighbour slices and binary-searches the other
+    endpoint for each candidate, so a triangle holding ``k`` of the edges is
+    found ``k`` times and weighs ``1/k``.
+    """
+    if not a.size:
+        return 0
+    lo_a, hi_a, lo_b, hi_b = np.searchsorted(
+        keys, np.concatenate((a * n1, (a + 1) * n1, b * n1, (b + 1) * n1))
+    ).reshape(4, -1)
+    a_short = hi_a - lo_a <= hi_b - lo_b
+    pos, owner = expand_slices(
+        np.where(a_short, lo_a, lo_b), np.where(a_short, hi_a, hi_b)
+    )
+    short = np.where(a_short, a, b)[owner]
+    other = np.where(a_short, b, a)[owner]
+    probe = other * n1 + (keys[pos] - short * n1)
+    at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+    closed = keys[at] == probe
+    k = 1 + marked[pos[closed]].astype(np.int64) + marked[at[closed]]
+    found = np.bincount(k, minlength=4)
+    return int(found[1] + found[2] // 2 + found[3] // 3)
+
+
 class DynamicPimCounter:
     """Incremental triangle counting over a stream of COO edge batches.
 
@@ -108,10 +183,11 @@ class DynamicPimCounter:
     not depend on the chunk size; the simulated clock overlaps host routing
     with the cores' merges across chunks.
 
-    Precondition on insertions: a batch must not contain edges already
-    resident (COO appends would otherwise duplicate sample records and
-    over-count, exactly as on the real system).  Deletions are idempotent —
-    tombstones for absent edges are ignored.
+    The resident graph is a set of undirected edges.  An insert batch adds
+    the edges not yet resident and ignores self-loops, repeats (either
+    orientation) and resident edges; a delete batch removes the resident
+    edges it names and ignores the rest.  Both report what they ignored in
+    :attr:`DynamicUpdateResult.ignored_edges`.
     """
 
     def __init__(
@@ -131,6 +207,8 @@ class DynamicPimCounter:
             raise ConfigurationError("misra_gries_k and misra_gries_t go together")
         if batch_edges is not None and batch_edges < 1:
             raise ConfigurationError("batch_edges must be >= 1 or None")
+        if (int(num_nodes) + 1) ** 2 > np.iinfo(np.int64).max:
+            raise ConfigurationError("num_nodes too large for int64 edge keys")
         #: Streaming-ingest chunk size for update batches, in edges; ``None``
         #: makes each update batch one chunk.
         self.batch_edges = batch_edges
@@ -149,9 +227,13 @@ class DynamicPimCounter:
             raise ConfigurationError("not enough PIM cores for this color count")
         self.clock = SimClock()
         self.dpus = self.system.allocate(self.partitioner.num_dpus, self.clock)
-        # Resident per-core samples, kept sorted/oriented between updates.
-        self._src = [np.empty(0, dtype=np.int64) for _ in range(self.partitioner.num_dpus)]
-        self._dst = [np.empty(0, dtype=np.int64) for _ in range(self.partitioner.num_dpus)]
+        # Resident per-core samples: sorted ``x * (n + 1) + y`` keys over both
+        # orientations of every edge, so node x's neighbours are one slice.
+        self._n1 = np.int64(self.num_nodes + 1)
+        self._keys = [np.empty(0, dtype=np.int64) for _ in range(self.partitioner.num_dpus)]
+        # Regions (nodes with a larger-ID neighbour) of each core's sample:
+        # the size of the table the kernel's per-edge binary search walks.
+        self._regions = np.zeros(self.partitioner.num_dpus, dtype=np.int64)
         self._raw_counts = np.zeros(self.partitioner.num_dpus, dtype=np.int64)
         self._estimate = 0
         self._round = 0
@@ -175,8 +257,27 @@ class DynamicPimCounter:
     @property
     def resident_bytes(self) -> int:
         """Bytes of sample records currently resident across all PIM cores."""
-        records = sum(int(src.size) for src in self._src)
+        records = sum(int(keys.size) // 2 for keys in self._keys)
         return records * self.costs.edge_bytes
+
+    def recount(self) -> np.ndarray:
+        """Each core's triangle count, recomputed from its whole resident sample.
+
+        The oracle for the per-core counts the rounds maintain incrementally;
+        update rounds never call it.
+        """
+        counts = np.zeros(len(self._keys), dtype=np.int64)
+        for d, keys in enumerate(self._keys):
+            u, v = self._oriented(keys)
+            counts[d] = _count_forward_sparse(u, v, self.num_nodes)
+        return counts
+
+    def _oriented(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A core's sample as ``u < v`` edges, sorted lexicographically."""
+        x = keys // self._n1
+        y = keys - x * self._n1
+        forward = x < y
+        return x[forward], y[forward]
 
     def routed_bytes_for(self, num_edges: int) -> int:
         """Routed-byte footprint of a ``num_edges`` batch: every edge is
@@ -198,12 +299,20 @@ class DynamicPimCounter:
             return
         self._closed = True
         self.dpus.free(phase="dynamic")
-        self._src = [np.empty(0, dtype=np.int64) for _ in self._src]
-        self._dst = [np.empty(0, dtype=np.int64) for _ in self._dst]
+        self._keys = [np.empty(0, dtype=np.int64) for _ in self._keys]
+        self._regions[:] = 0
 
-    def _check_open(self) -> None:
+    def _check_batch(self, batch: COOGraph) -> None:
+        """Refuse a batch on a closed counter, or one with node IDs past
+        ``num_nodes`` (their keys would alias other edges')."""
         if self._closed:
             raise ConfigurationError("DynamicPimCounter is closed")
+        if batch.num_nodes > self.num_nodes and batch.num_edges:
+            hi = max(int(batch.src.max()), int(batch.dst.max()))
+            if hi >= self.num_nodes:
+                raise GraphFormatError(
+                    f"node ID {hi} out of range for num_nodes={self.num_nodes}"
+                )
 
     @property
     def cumulative_seconds(self) -> float:
@@ -218,74 +327,88 @@ class DynamicPimCounter:
     # -------------------------------------------------------------------- update
     def _merge_and_charge(
         self, d: int, new_src: np.ndarray, new_dst: np.ndarray, remap: RemapTable | None
-    ) -> tuple[np.ndarray, np.ndarray, int, float]:
-        """Merge one routed chunk into core ``d``'s resident sample.
+    ) -> float:
+        """Merge one routed chunk into core ``d``'s sample and count what it adds.
 
-        Charges the incremental kernel work (batch sort, one merge pass over
-        the resident sample, per-new-edge search + intersection) and returns
-        the oriented/sorted effective edge arrays, the effective node count,
-        and the core's compute seconds for this chunk.  The functional recount
-        is left to the caller, which runs it once after the core's last chunk.
+        The chunk's edges are new to the core.  Sorts the chunk, merges it
+        into the sorted sample, adds the triangles it closes to the core's
+        count, and charges the incremental kernel work (batch sort, one merge
+        pass over the resident sample, per-new-edge search + intersection).
+        Returns the core's compute seconds for this chunk.
         """
         dpu = self.dpus.dpus[d]
         dpu.reset_charges()
-        old_m = self._src[d].size
-        merged_src = np.concatenate([self._src[d], new_src])
-        merged_dst = np.concatenate([self._dst[d], new_dst])
-        self._src[d], self._dst[d] = merged_src, merged_dst
         b = int(new_src.size)
-        if remap is not None:
-            eff_src, eff_dst = apply_remap(remap, merged_src, merged_dst)
-            eff_ns, eff_nd = apply_remap(remap, new_src, new_dst)
-            eff_nodes = remap.remapped_num_nodes
+        if not b:
+            return dpu.compute_seconds()
+        n1 = self._n1
+        old = self._keys[d]
+        old_m = old.size // 2
+        nu, nv, _ = orient_and_sort(new_src, new_dst)
+        delta = np.sort(np.concatenate((nu * n1 + nv, nv * n1 + nu)))
+        # A batch first node with no larger-ID neighbour yet opens a region.
+        firsts = nu[np.concatenate(([True], nu[1:] != nu[:-1]))]
+        self._regions[d] += int((_forward_degrees(old, firsts, n1) == 0).sum())
+        keys, marked = _merge(old, delta)
+        self._keys[d] = keys
+        self._raw_counts[d] += _delta_triangles(keys, marked, nu, nv, n1)
+
+        if remap is None:
+            search_steps = binary_search_steps(int(self._regions[d]))
+            end_u, past_uv, end_v, past_v = np.searchsorted(
+                keys,
+                np.concatenate(((nu + 1) * n1, nu * n1 + nv + 1, (nv + 1) * n1, nv * n1 + nv + 1)),
+            ).reshape(4, -1)
+            d_v = end_v - past_v  # forward degree of v
+            suffix = end_u - past_uv  # forward neighbours of u past v
         else:
-            eff_src, eff_dst = merged_src, merged_dst
-            eff_ns, eff_nd = new_src, new_dst
-            eff_nodes = self.num_nodes
-        u, v, _ = orient_and_sort(eff_src, eff_dst)
-        if b:
-            # Incremental kernel: sort the batch, one merge pass over the
-            # resident sample, then per-new-edge search + intersection.
-            sort_steps = b * max(1, int(np.ceil(np.log2(max(b, 2)))))
-            merge_pass = old_m + b
+            # The remap reorders node IDs, so the per-edge quantities the
+            # kernel pays for come from a remapped, re-sorted view of the
+            # sample; only the charges read it.
+            eff_src, eff_dst = apply_remap(remap, *self._oriented(keys))
+            eff_ns, eff_nd = apply_remap(remap, new_src, new_dst)
+            eff_n1 = np.int64(remap.remapped_num_nodes + 1)
+            u, v, _ = orient_and_sort(eff_src, eff_dst)
             index = build_region_index(u)
-            nu = np.minimum(eff_ns, eff_nd)
-            nv = np.maximum(eff_ns, eff_nd)
-            d_v = index.degrees_of(nv)
-            _, ends_u = index.lookup_many(nu)
-            # Forward neighbors of u strictly greater than v: edges are
-            # (u, v)-sorted, so one key search finds the edge's own slot.
-            keys = u * np.int64(eff_nodes + 1) + v
-            pos = np.searchsorted(keys, nu * np.int64(eff_nodes + 1) + nv, side="right")
+            search_steps = index.search_steps()
+            ru = np.minimum(eff_ns, eff_nd)
+            rv = np.maximum(eff_ns, eff_nd)
+            d_v = index.degrees_of(rv)
+            _, ends_u = index.lookup_many(ru)
+            pos = np.searchsorted(u * eff_n1 + v, ru * eff_n1 + rv, side="right")
             suffix = np.maximum(ends_u - pos, 0)
-            merge_steps = np.where(d_v > 0, suffix + d_v, 0).sum()
-            remap_instr = (
-                self.costs.remap_instr_per_edge * merge_pass if remap is not None else 0.0
-            )
-            instr = (
-                remap_instr
-                + self.costs.sort_instr_per_step * sort_steps
-                + self.costs.insert_instr_per_edge * merge_pass
-                + self.costs.edge_loop_instr * b
-                + self.costs.binsearch_instr_per_step * index.search_steps() * b
-                + self.costs.merge_instr_per_step * float(merge_steps)
-            )
-            dpu.charge_balanced(instr)
-            # Merge (and remap) passes stream the sample through MRAM
-            # (read + write) plus the counting phase's region reads.
-            passes = 2 + (2 if remap is not None else 0)
-            nbytes = (passes * merge_pass + int(merge_steps)) * self.costs.edge_bytes
-            per = nbytes // dpu.config.num_tasklets
-            for tk in range(dpu.config.num_tasklets):
-                dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
-        return u, v, eff_nodes, dpu.compute_seconds()
+        # Incremental kernel: sort the batch, one merge pass over the
+        # resident sample, then per-new-edge search + intersection.
+        sort_steps = b * max(1, int(np.ceil(np.log2(max(b, 2)))))
+        merge_pass = old_m + b
+        merge_steps = np.where(d_v > 0, suffix + d_v, 0).sum()
+        remap_instr = (
+            self.costs.remap_instr_per_edge * merge_pass if remap is not None else 0.0
+        )
+        instr = (
+            remap_instr
+            + self.costs.sort_instr_per_step * sort_steps
+            + self.costs.insert_instr_per_edge * merge_pass
+            + self.costs.edge_loop_instr * b
+            + self.costs.binsearch_instr_per_step * search_steps * b
+            + self.costs.merge_instr_per_step * float(merge_steps)
+        )
+        dpu.charge_balanced(instr)
+        # Merge (and remap) passes stream the sample through MRAM
+        # (read + write) plus the counting phase's region reads.
+        passes = 2 + (2 if remap is not None else 0)
+        nbytes = (passes * merge_pass + int(merge_steps)) * self.costs.edge_bytes
+        per = nbytes // dpu.config.num_tasklets
+        for tk in range(dpu.config.num_tasklets):
+            dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
+        return dpu.compute_seconds()
 
     @staticmethod
-    def _endpoint_stream(batch: COOGraph) -> np.ndarray:
+    def _endpoint_stream(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
         """Node stream of one batch: each edge contributes both endpoints."""
-        stream = np.empty(2 * batch.num_edges, dtype=np.int64)
-        stream[0::2] = batch.src
-        stream[1::2] = batch.dst
+        stream = np.empty(2 * src.size, dtype=np.int64)
+        stream[0::2] = src
+        stream[1::2] = dst
         return stream
 
     def _refresh_remap(self) -> RemapTable | None:
@@ -302,11 +425,11 @@ class DynamicPimCounter:
         )
         return remap
 
-    def _update_mg(self, batch: COOGraph) -> RemapTable | None:
+    def _update_mg(self, src: np.ndarray, dst: np.ndarray) -> RemapTable | None:
         """Feed one update batch to the Misra-Gries summary; refresh the remap."""
         if self._mg is None:
             return None
-        self._mg.update_array(self._endpoint_stream(batch))
+        self._mg.update_array(self._endpoint_stream(src, dst))
         return self._refresh_remap()
 
     def _decay_mg(self, batch: COOGraph) -> RemapTable | None:
@@ -322,7 +445,7 @@ class DynamicPimCounter:
         """
         if self._mg is None:
             return None
-        self._mg.decay_array(self._endpoint_stream(batch))
+        self._mg.decay_array(self._endpoint_stream(batch.src, batch.dst))
         return self._refresh_remap()
 
     def _route(
@@ -345,7 +468,12 @@ class DynamicPimCounter:
         return host_seconds, part, self.dpus.transfer.scatter(routed_bytes).seconds
 
     def _finish_round(
-        self, before_total: float, op: str, added_edges: int = 0, removed_edges: int = 0
+        self,
+        before_total: float,
+        op: str,
+        added_edges: int = 0,
+        removed_edges: int = 0,
+        ignored_edges: int = 0,
     ) -> DynamicUpdateResult:
         """Gather counts, apply corrections, and close one update round."""
         # Gather the per-core counts (8 bytes each).
@@ -377,39 +505,65 @@ class DynamicPimCounter:
             cumulative_seconds=self.cumulative_seconds,
             op=op,
             removed_edges=removed_edges,
+            ignored_edges=ignored_edges,
         )
 
-    def apply_update(self, batch: COOGraph) -> DynamicUpdateResult:
-        """Merge one batch of new edges and recount incrementally.
+    def _canonical_keys(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """``min * (n + 1) + max``: one key per undirected edge."""
+        return np.minimum(src, dst) * self._n1 + np.maximum(src, dst)
 
-        Routes and merges the batch in ``batch_edges``-sized chunks (``None``:
-        the whole batch is one chunk).  Per-core merged samples do not depend
-        on the chunking (routing is stable within every chunk and chunks
-        arrive in stream order), so neither does the count, while the
-        simulated clock models host routing of chunk ``k+1`` overlapped with
-        the cores merging chunk ``k``.  Each core is recounted once, right
-        after its last chunk merges.
+    def _new_edges(self, batch: COOGraph) -> tuple[np.ndarray, np.ndarray]:
+        """The edges an insert batch actually adds, in first-occurrence order.
+
+        Drops self-loops, repeats within the batch (either orientation) and
+        edges already resident.  Every resident edge has a replica on its
+        home core, so residency is one binary search there.
         """
-        self._check_open()
+        src, dst = batch.src, batch.dst
+        keys = self._canonical_keys(src, dst)
+        _, first = np.unique(keys, return_index=True)
+        first = np.sort(first[src[first] != dst[first]])
+        home = self._canonical_dpus(src[first], dst[first])
+        fresh = np.ones(first.size, dtype=bool)
+        for h in np.unique(home):
+            sel = np.flatnonzero(home == h)
+            fresh[sel] = ~_contains(self._keys[h], keys[first[sel]])
+        first = first[fresh]
+        if first.size == src.size:
+            return src, dst
+        return src[first], dst[first]
+
+    def apply_update(self, batch: COOGraph) -> DynamicUpdateResult:
+        """Merge one batch of new edges and count the triangles it adds.
+
+        Routes and merges the batch's new edges (see :meth:`_new_edges`) in
+        ``batch_edges``-sized chunks (``None``: the whole batch is one
+        chunk).  Each core counts the triangles each chunk closes right after
+        merging it, so neither the per-core samples nor the count depend on
+        the chunking, while the simulated clock models host routing of chunk
+        ``k+1`` overlapped with the cores merging chunk ``k``.
+        """
+        self._check_batch(batch)
         cost = self.system.config.cost
         before_total = self.cumulative_seconds
-        remap = self._update_mg(batch)
+        src, dst = self._new_edges(batch)
+        remap = self._update_mg(src, dst)
         schedule = DoubleBufferSchedule()
-        chunk = self.batch_edges or max(1, batch.num_edges)
-        last = num_batches(batch.num_edges, chunk) - 1
-        for k, s_chunk, d_chunk in iter_edge_batches(batch.src, batch.dst, chunk):
+        chunk = self.batch_edges or max(1, src.size)
+        for _, s_chunk, d_chunk in iter_edge_batches(src, dst, chunk):
             h_k, part, xfer = self._route(s_chunk, d_chunk)
-            times = []
-            for d, (new_src, new_dst) in enumerate(part.per_dpu):
-                u, v, eff_nodes, seconds = self._merge_and_charge(
-                    d, new_src, new_dst, remap
-                )
-                if k == last:
-                    self._raw_counts[d] = _count_forward_sparse(u, v, eff_nodes)
-                times.append(seconds)
+            times = [
+                self._merge_and_charge(d, new_src, new_dst, remap)
+                for d, (new_src, new_dst) in enumerate(part.per_dpu)
+            ]
             d_k = xfer + cost.launch_latency + (max(times) if times else 0.0)
             self.clock.advance("dynamic", schedule.step(h_k, d_k))
-        return self._finish_round(before_total, "insert", added_edges=batch.num_edges)
+        return self._finish_round(
+            before_total,
+            "insert",
+            added_edges=int(src.size),
+            ignored_edges=batch.num_edges - int(src.size),
+        )
 
     # ------------------------------------------------------------------ delete
     def _canonical_dpus(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -434,9 +588,10 @@ class DynamicPimCounter:
         cores its colors name — the host routes the *tombstones* the same way
         it routes insertions, and each core drops the matching records with
         one binary search plus a compaction pass.  Edges not present are
-        ignored (idempotent deletes).
+        ignored (idempotent deletes).  Only cores that receive tombstones
+        run: each subtracts the triangles its dropped edges held.
         """
-        self._check_open()
+        self._check_batch(batch)
         cost = self.system.config.cost
         before_total = self.cumulative_seconds
         host_seconds, partition, xfer = self._route(batch.src, batch.dst)
@@ -447,30 +602,39 @@ class DynamicPimCounter:
         # Misra-Gries summary so stale hubs don't stay pinned in the remap.
         self._decay_mg(batch)
 
+        # Each distinct tombstone's home core, hashed once for the batch.
+        n1 = self._n1
+        tombstones, first = np.unique(
+            self._canonical_keys(batch.src, batch.dst), return_index=True
+        )
+        homes = self._canonical_dpus(batch.src[first], batch.dst[first])
         removed_edges = 0  # logical edges, counted on each edge's home core
         times = []
-        for d, (del_src, del_dst) in enumerate(partition.per_dpu):
+        for d in np.flatnonzero(partition.counts):
+            del_src, del_dst = partition.per_dpu[d]
             dpu = self.dpus.dpus[d]
             dpu.reset_charges()
-            old_src, old_dst = self._src[d], self._dst[d]
-            m = int(old_src.size)
+            keys = self._keys[d]
+            m = keys.size // 2
             b = int(del_src.size)
-            if b and m:
-                n = np.int64(self.num_nodes + 1)
-                old_keys = np.minimum(old_src, old_dst) * n + np.maximum(old_src, old_dst)
-                del_keys = np.minimum(del_src, del_dst) * n + np.maximum(del_src, del_dst)
-                keep = ~np.isin(old_keys, del_keys)
-                dropped = ~keep
-                if dropped.any():
-                    # A record's replicas live on C cores; attribute the
-                    # logical removal to the replica on its home core rather
-                    # than dividing a physical-replica tally by an assumed
-                    # factor (which drifts whenever a tombstone's replicas
-                    # are not all resident).
-                    home = self._canonical_dpus(old_src[dropped], old_dst[dropped])
+            if m:
+                gone = np.unique(self._canonical_keys(del_src, del_dst))
+                gone = gone[_contains(keys, gone)]
+                if gone.size:
+                    a = gone // n1
+                    c = gone - a * n1
+                    marked = np.zeros(keys.size, dtype=bool)
+                    marked[np.searchsorted(keys, np.concatenate((gone, c * n1 + a)))] = True
+                    self._raw_counts[d] -= _delta_triangles(keys, marked, a, c, n1)
+                    keys = keys[~marked]
+                    self._keys[d] = keys
+                    firsts = np.unique(a)
+                    self._regions[d] -= int((_forward_degrees(keys, firsts, n1) == 0).sum())
+                    # An edge's replicas live on C cores; its logical removal
+                    # counts on its home core only, rather than dividing a
+                    # replica tally by an assumed factor.
+                    home = homes[np.searchsorted(tombstones, gone)]
                     removed_edges += int((home == d).sum())
-                self._src[d] = old_src[keep]
-                self._dst[d] = old_dst[keep]
                 # Tombstone search + one compaction pass over the sample.
                 log_m = max(1, int(np.ceil(np.log2(m + 1))))
                 instr = (
@@ -482,10 +646,13 @@ class DynamicPimCounter:
                 per = nbytes // dpu.config.num_tasklets
                 for tk in range(dpu.config.num_tasklets):
                     dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
-            u, v, _ = orient_and_sort(self._src[d], self._dst[d])
-            self._raw_counts[d] = _count_forward_sparse(u, v, self.num_nodes)
             times.append(dpu.compute_seconds())
         self.clock.advance(
             "dynamic", cost.launch_latency + (max(times) if times else 0.0)
         )
-        return self._finish_round(before_total, "delete", removed_edges=removed_edges)
+        return self._finish_round(
+            before_total,
+            "delete",
+            removed_edges=removed_edges,
+            ignored_edges=batch.num_edges - removed_edges,
+        )

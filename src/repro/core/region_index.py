@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RegionIndex", "build_region_index", "expand_slices"]
+__all__ = ["RegionIndex", "binary_search_steps", "build_region_index", "expand_slices"]
+
+
+def binary_search_steps(num_regions: int) -> int:
+    """Binary-search step count for one lookup in an ``R``-region table:
+    ``ceil(log2(R + 1))``, and 1 for an empty table."""
+    return int(np.ceil(np.log2(num_regions + 1))) if num_regions else 1
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,7 @@ class RegionIndex:
 
     def search_steps(self) -> int:
         """Binary-search step count for one lookup: ``ceil(log2(R + 1))``."""
-        return int(np.ceil(np.log2(self.num_regions + 1))) if self.num_regions else 1
+        return binary_search_steps(self.num_regions)
 
     def table_bytes(self, entry_bytes: int = 8) -> int:
         """MRAM footprint of the table (node + offset per region)."""

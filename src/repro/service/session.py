@@ -289,7 +289,7 @@ class GraphSession:
         """Apply one batch on the worker thread; returns the round's view."""
         if kind == "insert":
             update = self.counter.apply_update(batch)
-            self.edges_inserted += batch.num_edges
+            self.edges_inserted += update.new_edges
             self._pending_insert_edges -= batch.num_edges
         else:
             update = self.counter.apply_deletion(batch)

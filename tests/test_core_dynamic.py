@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, GraphFormatError
 from repro.core.dynamic import DynamicPimCounter
+from repro.graph.coo import COOGraph
 from repro.graph.datasets import get_dataset
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.triangles import count_triangles
 
 
@@ -20,6 +21,16 @@ class TestValidation:
     def test_mg_params_must_pair(self):
         with pytest.raises(ConfigurationError):
             DynamicPimCounter(10, num_colors=2, misra_gries_k=8)
+
+    def test_rejects_node_range_beyond_edge_keys(self):
+        with pytest.raises(ConfigurationError):
+            DynamicPimCounter(2**32, num_colors=1)
+
+    @pytest.mark.parametrize("op", ["apply_update", "apply_deletion"])
+    def test_rejects_node_ids_out_of_range(self, op):
+        dyn = DynamicPimCounter(10, num_colors=2)
+        with pytest.raises(GraphFormatError):
+            getattr(dyn, op)(COOGraph.from_edges([(1, 10)], num_nodes=11))
 
 
 class TestIncrementalCorrectness:
@@ -57,6 +68,54 @@ class TestIncrementalCorrectness:
         dyn = DynamicPimCounter(small_graph.num_nodes, num_colors=3, seed=0)
         dyn.apply_update(small_graph)
         assert dyn.triangles == count_triangles(small_graph)
+
+
+TRIANGLE = [(0, 1), (1, 2), (0, 2)]
+
+
+class TestSetSemantics:
+    """The resident graph is a set: repeats, reversed pairs, self-loops and
+    resident edges change nothing, so the delta count stays exact."""
+
+    @pytest.mark.parametrize(
+        "ops, triangles, edges, last",
+        [
+            pytest.param(
+                [("insert", TRIANGLE), ("insert", [(0, 1)])],
+                1, 3, {"new_edges": 0, "ignored_edges": 1},
+                id="reinsert-resident",
+            ),
+            pytest.param(
+                [("insert", [(3, 4), (3, 5), (4, 6), (5, 6), (4, 5), (5, 4)])],
+                2, 5, {"new_edges": 5, "ignored_edges": 1},
+                id="reversed-pair-on-two-triangles",
+            ),
+            pytest.param(
+                [("insert", TRIANGLE + [(1, 0)])],
+                1, 3, {"new_edges": 3, "ignored_edges": 1},
+                id="reversed-pair",
+            ),
+            pytest.param(
+                [("insert", TRIANGLE), ("insert", [(1, 0)]), ("delete", [(0, 1)])],
+                0, 2, {"removed_edges": 1, "ignored_edges": 0},
+                id="delete-twice-inserted",
+            ),
+            pytest.param(
+                [("insert", TRIANGLE + [(2, 2)])],
+                1, 3, {"new_edges": 3, "ignored_edges": 1},
+                id="self-loop",
+            ),
+        ],
+    )
+    def test_repeats_never_over_count(self, ops, triangles, edges, last):
+        dyn = DynamicPimCounter(8, num_colors=2, seed=0)
+        for op, pairs in ops:
+            batch = COOGraph.from_edges(pairs, num_nodes=8)
+            result = dyn.apply_update(batch) if op == "insert" else dyn.apply_deletion(batch)
+        assert dyn.triangles == triangles
+        assert dyn.cumulative_edges == edges
+        assert {key: getattr(result, key, None) for key in last} == last
+        np.testing.assert_array_equal(dyn._raw_counts, dyn.recount())
 
 
 class TestChunkedUpdates:
@@ -169,3 +228,63 @@ class TestEmptyBatches:
         result = dyn.apply_update(COOGraph.from_edges([], num_nodes=small_graph.num_nodes))
         assert result.triangles_added == 0
         assert dyn.triangles == before
+
+
+class TestGoldenClock:
+    """Simulated clocks of a seeded stream, pinned to the bit.
+
+    Counting only the delta changed the functional arithmetic, not the
+    charges: every round's ``round_seconds`` and the final
+    ``cumulative_seconds`` equal the values the whole-sample recount
+    produced, with Misra-Gries off and on, in one chunk and in chunks.
+    """
+
+    #: (misra_gries_k, batch_edges) -> (per-round round_seconds, final
+    #: cumulative_seconds), as float hex.
+    GOLDEN = {
+        (0, None): (
+            ["0x1.5b48b0239e980p-13", "0x1.659298fc68340p-13",
+             "0x1.63b76a4229a00p-13", "0x1.9c234b6fd8b00p-14"],
+            "0x1.3ca9164687310p-11",
+        ),
+        (0, 300): (
+            ["0x1.6fdb697e0b660p-12", "0x1.7d38665e38e20p-12",
+             "0x1.3b7f6b549d0c0p-12", "0x1.9c234b6fd8b00p-14"],
+            "0x1.23e7038335e00p-10",
+        ),
+        (64, None): (
+            ["0x1.8650d093a46c0p-13", "0x1.971f783578640p-13",
+             "0x1.9759bd0708a80p-13", "0x1.f0106b22f5f00p-14"],
+            "0x1.6b348ed8681c0p-11",
+        ),
+        (64, 300): (
+            ["0x1.8c43f7e6f5960p-12", "0x1.a419e4234ce40p-12",
+             "0x1.63e6bd89b4860p-12", "0x1.f0106b22f5f00p-14"],
+            "0x1.44122d172d1f0p-10",
+        ),
+    }
+
+    @pytest.mark.parametrize("mg_k, batch_edges", sorted(GOLDEN, key=str))
+    def test_round_clocks_are_pinned(self, mg_k, batch_edges):
+        rng = np.random.default_rng(7)
+        graph = rmat(9, 8, rng).canonicalize().shuffle(rng)
+        drop = np.random.default_rng(8).choice(graph.num_edges, 100, replace=False)
+        dyn = DynamicPimCounter(
+            graph.num_nodes,
+            num_colors=8,
+            seed=3,
+            misra_gries_k=mg_k,
+            misra_gries_t=8 if mg_k else 0,
+            batch_edges=batch_edges,
+        )
+        rounds = [
+            dyn.apply_update(graph.slice(s, min(s + 1000, graph.num_edges)))
+            for s in range(0, graph.num_edges, 1000)
+        ]
+        rounds.append(
+            dyn.apply_deletion(COOGraph(graph.src[drop], graph.dst[drop], graph.num_nodes))
+        )
+        per_round, total = self.GOLDEN[(mg_k, batch_edges)]
+        assert [r.round_seconds.hex() for r in rounds] == per_round
+        assert dyn.cumulative_seconds.hex() == total
+        assert dyn.triangles == 8517

@@ -2,8 +2,12 @@
 
 Hypothesis drives arbitrary interleavings of edge-batch insertions and
 deletions against :class:`DynamicPimCounter`; after every step the counter's
-triangle count must equal the oracle's count of the model edge set.  This is
-the fully-dynamic correctness argument in executable form.
+triangle count must equal the oracle's count of the model edge set, and each
+core's incrementally maintained count must equal a from-scratch recount of
+its sample.  Insert batches arrive raw — repeats, reversed pairs, self-loops
+and already-resident edges included — and the model is a set, so the test
+also pins the counter's set semantics.  This is the fully-dynamic
+correctness argument in executable form.
 """
 
 from __future__ import annotations
@@ -19,22 +23,35 @@ from repro.graph.triangles import count_triangles
 
 NUM_NODES = 14
 
+node = st.integers(min_value=0, max_value=NUM_NODES - 1)
 
-def edge_batch():
-    return st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=NUM_NODES - 1),
-            st.integers(min_value=0, max_value=NUM_NODES - 1),
-        ).filter(lambda e: e[0] != e[1]),
-        min_size=1,
-        max_size=10,
-    )
+
+def raw_batch():
+    """Edges as a client may send them: self-loops, repeats, either orientation."""
+    return st.lists(st.tuples(node, node), min_size=1, max_size=10)
+
+
+def canonical(edges) -> set[tuple[int, int]]:
+    return {(min(u, v), max(u, v)) for u, v in edges if u != v}
 
 
 class DynamicCounterMachine(RuleBasedStateMachine):
-    @initialize(colors=st.integers(min_value=1, max_value=4), seed=st.integers(0, 50))
-    def setup(self, colors, seed):
-        self.counter = DynamicPimCounter(NUM_NODES, num_colors=colors, seed=seed)
+    @initialize(
+        colors=st.integers(min_value=1, max_value=4),
+        seed=st.integers(0, 50),
+        misra_gries=st.sampled_from([(0, 0), (4, 2), (8, 3)]),
+        batch_edges=st.one_of(st.none(), st.integers(min_value=1, max_value=3)),
+    )
+    def setup(self, colors, seed, misra_gries, batch_edges):
+        k, t = misra_gries
+        self.counter = DynamicPimCounter(
+            NUM_NODES,
+            num_colors=colors,
+            seed=seed,
+            misra_gries_k=k,
+            misra_gries_t=t,
+            batch_edges=batch_edges,
+        )
         self.model: set[tuple[int, int]] = set()
 
     def _model_graph(self) -> COOGraph:
@@ -42,28 +59,40 @@ class DynamicCounterMachine(RuleBasedStateMachine):
             return COOGraph.from_edges([], num_nodes=NUM_NODES)
         return COOGraph.from_edges(sorted(self.model), num_nodes=NUM_NODES)
 
-    @rule(edges=edge_batch())
-    def insert(self, edges):
-        canonical = {(min(u, v), max(u, v)) for u, v in edges}
-        fresh = canonical - self.model
-        if not fresh:
-            return  # resending resident edges would duplicate sample entries
+    @rule(edges=raw_batch(), data=st.data())
+    def insert(self, edges, data):
+        if self.model:
+            # Resend some resident edges, in either orientation.
+            resent = data.draw(st.lists(st.sampled_from(sorted(self.model)), max_size=3))
+            flips = data.draw(st.lists(st.booleans(), min_size=len(resent),
+                                       max_size=len(resent)))
+            edges = edges + [(v, u) if f else (u, v) for (u, v), f in zip(resent, flips)]
+        fresh = canonical(edges) - self.model
         self.model |= fresh
-        batch = COOGraph.from_edges(sorted(fresh), num_nodes=NUM_NODES)
-        self.counter.apply_update(batch)
+        result = self.counter.apply_update(COOGraph.from_edges(edges, num_nodes=NUM_NODES))
+        assert result.new_edges == len(fresh)
+        assert result.ignored_edges == len(edges) - len(fresh)
 
-    @rule(edges=edge_batch())
+    @rule(edges=raw_batch())
     def delete(self, edges):
-        canonical = {(min(u, v), max(u, v)) for u, v in edges}
-        self.model -= canonical
-        batch = COOGraph.from_edges(sorted(canonical), num_nodes=NUM_NODES)
-        self.counter.apply_deletion(batch)
+        gone = canonical(edges) & self.model
+        self.model -= gone
+        result = self.counter.apply_deletion(COOGraph.from_edges(edges, num_nodes=NUM_NODES))
+        assert result.removed_edges == len(gone)
+        assert result.ignored_edges == len(edges) - len(gone)
 
     @invariant()
     def count_matches_oracle(self):
         if not hasattr(self, "counter"):
             return
         assert self.counter.triangles == count_triangles(self._model_graph())
+        assert self.counter.cumulative_edges == len(self.model)
+
+    @invariant()
+    def core_counts_match_recount(self):
+        if not hasattr(self, "counter"):
+            return
+        np.testing.assert_array_equal(self.counter._raw_counts, self.counter.recount())
 
     @invariant()
     def time_never_regresses(self):

@@ -165,6 +165,23 @@ class TestCountParity:
         assert view["triangles"] == count_triangles(rest)
         assert view["cumulative_edges"] == rest.num_edges
 
+    def test_insert_has_set_semantics(self):
+        """Repeats, reversed pairs, self-loops and resident edges come back
+        as ``ignored_edges`` and never reach the count or the stats."""
+        with running_service() as server:
+            with ServiceClient(server.url) as client:
+                client.open_session("set", num_nodes=4, num_colors=2, seed=0)
+                first = client.insert("set", [0, 1, 0, 1, 3], [1, 2, 2, 0, 3])
+                again = client.insert("set", [2, 0], [1, 3])
+                view = client.count("set")
+                stats = client.stats("set")
+                client.close_session("set")
+        assert (first["new_edges"], first["ignored_edges"]) == (3, 2)
+        assert (again["new_edges"], again["ignored_edges"]) == (1, 1)
+        assert view["triangles"] == 1
+        assert view["cumulative_edges"] == 4
+        assert stats["edges_inserted"] == 4
+
     def test_count_observes_prior_batches(self, triangle_graph):
         # count travels the same queue as the batches: no lost updates.
         with running_service() as server:
