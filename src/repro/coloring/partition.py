@@ -9,8 +9,12 @@ cores (one per choice of the triplet's third color).  The partition guarantees
   single-color-triplet core of that color counts *only* such triangles, making
   the final correction (subtract ``C-1`` times those counts) exact.
 
-The assignment is fully vectorized: one LUT gather per third-color choice and
-one stable grouping sort.
+The assignment is fully vectorized: one LUT gather per third-color choice,
+then one stable sort of the routed copies' core IDs that groups them by core
+and keeps each core's copies in stream order (reservoir acceptance depends on
+that order).  The IDs are sorted in the narrowest unsigned type that holds
+them, so numpy's stable sort is a radix sort, and each copy's endpoints are
+gathered from the input arrays through the sort permutation.
 """
 
 from __future__ import annotations
@@ -104,16 +108,17 @@ class ColoringPartitioner:
         cu = self.node_colors(src)
         cv = self.node_colors(dst)
         # For each third color x, the LUT gives the target core of (cu, cv, x).
-        dpu_ids = np.empty((c, m), dtype=np.int64)
+        # Core IDs are held in the narrowest unsigned type (8 or 16 bits up to
+        # the machine's 2,560 cores), where numpy's stable sort is a radix sort.
+        dpu_ids = np.empty((c, m), dtype=np.min_scalar_type(t - 1))
         for x in range(c):
             dpu_ids[x] = self.table.lut[cu, cv, np.int64(x)]
         flat_ids = dpu_ids.ravel()
-        flat_src = np.tile(src.astype(np.int64, copy=False), c)
-        flat_dst = np.tile(dst.astype(np.int64, copy=False), c)
+        # Copy k of the flattened (c, m) layout is edge k % m, so "wrap"
+        # gathers every copy's endpoints from the input arrays themselves.
         order = np.argsort(flat_ids, kind="stable")
-        flat_ids = flat_ids[order]
-        flat_src = flat_src[order]
-        flat_dst = flat_dst[order]
+        flat_src = src.astype(np.int64, copy=False).take(order, mode="wrap")
+        flat_dst = dst.astype(np.int64, copy=False).take(order, mode="wrap")
         counts = np.bincount(flat_ids, minlength=t).astype(np.int64)
         bounds = np.concatenate(([0], np.cumsum(counts)))
         per_dpu = [

@@ -123,7 +123,13 @@ class PimTriangleCounter:
 
     # ------------------------------------------------------------------ counting
     def count(self, graph: COOGraph) -> TcResult:
-        """Run the full pipeline; the graph should be canonicalized first."""
+        """Run the full pipeline on a simple graph.
+
+        An edge given twice, in either orientation, raises
+        :class:`~repro.common.errors.GraphFormatError` before any PIM core is
+        allocated (:meth:`COOGraph.canonicalize` removes repeats); self-loops
+        are dropped.
+        """
         return self._pipeline.run(graph)
 
     def count_local(self, graph: COOGraph):
@@ -132,7 +138,7 @@ class PimTriangleCounter:
         Returns a :class:`~repro.core.result.LocalTcResult` whose
         ``local_estimates`` vector satisfies ``sum == 3 * estimate`` and whose
         corrections (reservoir / monochromatic / uniform) mirror the global
-        path element-wise.
+        path element-wise.  Repeated edges are refused as in :meth:`count`.
         """
         return self._pipeline.run_local(graph)
 

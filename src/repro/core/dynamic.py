@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..coloring.partition import ColoringPartitioner, EdgePartition
+from ..coloring.triplets import num_triplets
 from ..common.errors import ConfigurationError, GraphFormatError
 from ..common.rng import RngFactory
 from ..graph.coo import COOGraph
@@ -221,10 +222,16 @@ class DynamicPimCounter:
         self._mg = MisraGries(misra_gries_k) if misra_gries_k > 0 else None
         self._mg_t = int(misra_gries_t)
         self.system = PimSystem(system_config or PimSystemConfig())
+        # Check the core budget before the partitioner builds its triplet
+        # table, which grows as C**3.
+        needed = num_triplets(num_colors)
+        if needed > self.system.config.total_dpus:
+            raise ConfigurationError(
+                f"{num_colors} colors need {needed} PIM cores but the system has "
+                f"{self.system.config.total_dpus}"
+            )
         rngs = RngFactory(seed)
         self.partitioner = ColoringPartitioner(num_colors, rngs.stream("coloring"))
-        if self.partitioner.num_dpus > self.system.config.total_dpus:
-            raise ConfigurationError("not enough PIM cores for this color count")
         self.clock = SimClock()
         self.dpus = self.system.allocate(self.partitioner.num_dpus, self.clock)
         # Resident per-core samples: sorted ``x * (n + 1) + y`` keys over both
@@ -398,10 +405,18 @@ class DynamicPimCounter:
         # (read + write) plus the counting phase's region reads.
         passes = 2 + (2 if remap is not None else 0)
         nbytes = (passes * merge_pass + int(merge_steps)) * self.costs.edge_bytes
-        per = nbytes // dpu.config.num_tasklets
-        for tk in range(dpu.config.num_tasklets):
-            dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
+        self._charge_mram_reads(dpu, nbytes, b)
         return dpu.compute_seconds()
+
+    @staticmethod
+    def _charge_mram_reads(dpu, nbytes: int, batch: int) -> None:
+        """Charge ``nbytes`` of MRAM reads split evenly over the tasklets,
+        each tasklet's share in ``max(1, batch // 8)`` transfers."""
+        tasklets = dpu.config.num_tasklets
+        dpu.charge_mram_read_all(
+            np.full(tasklets, nbytes // tasklets, dtype=np.int64),
+            np.full(tasklets, max(1, batch // 8), dtype=np.int64),
+        )
 
     @staticmethod
     def _endpoint_stream(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -642,10 +657,7 @@ class DynamicPimCounter:
                     + self.costs.insert_instr_per_edge * m
                 )
                 dpu.charge_balanced(instr)
-                nbytes = 2 * m * self.costs.edge_bytes
-                per = nbytes // dpu.config.num_tasklets
-                for tk in range(dpu.config.num_tasklets):
-                    dpu.charge_mram_read(tk, int(per), requests=max(1, b // 8))
+                self._charge_mram_reads(dpu, 2 * m * self.costs.edge_bytes, b)
             times.append(dpu.compute_seconds())
         self.clock.advance(
             "dynamic", cost.launch_latency + (max(times) if times else 0.0)

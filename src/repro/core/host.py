@@ -33,7 +33,7 @@ from ..coloring.partition import (
     EdgePartition,
     make_partitioner,
 )
-from ..common.errors import ConfigurationError
+from ..common.errors import ConfigurationError, GraphFormatError
 from ..common.rng import RngFactory
 from ..graph.coo import COOGraph
 from ..pimsim.config import PimSystemConfig
@@ -76,10 +76,32 @@ def _ingest_chunk(dpu: Dpu, payload: tuple) -> tuple[EdgeReservoir, int, float]:
     # Replacement bookkeeping costs a few extra instructions/edge.
     extra = 4.0 if overflow else 0.0
     dpu.charge_balanced(n_in * (costs.insert_instr_per_edge + extra))
-    per_tasklet_bytes = stored * costs.edge_bytes / dpu.config.num_tasklets
-    for tk in range(dpu.config.num_tasklets):
-        dpu.charge_mram_write(tk, int(per_tasklet_bytes), requests=1)
+    tasklets = dpu.config.num_tasklets
+    per_tasklet_bytes = int(stored * costs.edge_bytes / tasklets)
+    dpu.charge_mram_write_all(
+        np.full(tasklets, per_tasklet_bytes, dtype=np.int64),
+        np.ones(tasklets, dtype=np.int64),
+    )
     return reservoir, n_in, dpu.compute_seconds()
+
+
+def _refuse_repeated_edges(graph: COOGraph) -> None:
+    """Raise :class:`GraphFormatError` if ``graph`` holds an edge twice.
+
+    The coloring partition counts a simple graph (the paper's methodology
+    removes duplicate edges first, Sec. 4.1): a repeated edge, in either
+    orientation, would reach its cores twice and over-count every triangle
+    through it.  Self-loops pass; the kernel drops them.
+    """
+    keys = graph.edge_keys()[graph.src != graph.dst]
+    keys.sort()
+    repeats = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeats.size:
+        u, v = divmod(int(keys[repeats[0]]), graph.num_nodes)
+        raise GraphFormatError(
+            f"edge ({u}, {v}) appears more than once (in either orientation); "
+            "canonicalize() the graph first"
+        )
 
 
 @dataclass
@@ -350,6 +372,7 @@ class PimTcPipeline:
         cost = self.system.config.cost
         rngs = RngFactory(opts.seed)
         wall_start = time.perf_counter()
+        _refuse_repeated_edges(graph)
         clock = SimClock()
         tel = self.telemetry
         partitioner, dpus = self._setup_phase(graph, kernel, clock, rngs)

@@ -174,10 +174,15 @@ def fast_count(
 
     # --- per-edge cost quantities -------------------------------------------
     bs_steps = index.search_steps()
-    d_v = index.degrees_of(v)  # forward degree of each edge's second node
-    # Suffix of u's own region after the edge itself.
-    rid = np.searchsorted(index.nodes, u)
-    suffix_u = index.ends[rid] - np.arange(m, dtype=np.int64) - 1
+    edge_ids = np.arange(m, dtype=np.int64)
+    region_lengths = index.ends - index.starts
+    # Forward degree of each edge's second node, from a dense per-node table.
+    fwd_degree = np.zeros(num_nodes, dtype=np.int64)
+    fwd_degree[index.nodes] = region_lengths
+    d_v = fwd_degree[v]
+    # Suffix of u's own region after the edge itself: the sample is sorted,
+    # so every edge of a region shares that region's end.
+    suffix_u = np.repeat(index.ends, region_lengths) - edge_ids - 1
     merge_steps = np.where(d_v > 0, suffix_u + d_v, 0)
     per_edge_instr = (
         costs.edge_loop_instr
@@ -187,7 +192,7 @@ def fast_count(
 
     # --- tasklet assignment: buffer blocks round-robin -----------------------
     buf = costs.edge_buffer_edges
-    tasklet_of_edge = (np.arange(m, dtype=np.int64) // buf) % t
+    tasklet_of_edge = (edge_ids // buf) % t
     instr = np.bincount(tasklet_of_edge, weights=per_edge_instr, minlength=t)
     # Balanced charges: orient + sort + region build + triangle bookkeeping.
     balanced = (
@@ -292,11 +297,13 @@ class TriangleCountKernel:
             num_nodes = table.remapped_num_nodes
             # One pass over the sample: read, look up both endpoints, write back.
             dpu.charge_balanced(self.costs.remap_instr_per_edge * src.size)
-            per = np.zeros(dpu.config.num_tasklets)
-            per += 2.0 * src.size * self.costs.edge_bytes / dpu.config.num_tasklets
-            for tk in range(dpu.config.num_tasklets):
-                dpu.charge_mram_read(tk, int(per[tk] / 2), requests=1)
-                dpu.charge_mram_write(tk, int(per[tk] / 2), requests=1)
+            tasklets = dpu.config.num_tasklets
+            per = np.full(
+                tasklets, int(src.size * self.costs.edge_bytes / tasklets), dtype=np.int64
+            )
+            ones = np.ones(tasklets, dtype=np.int64)
+            dpu.charge_mram_read_all(per, ones)
+            dpu.charge_mram_write_all(per, ones)
 
         result = fast_count(
             src,
@@ -307,12 +314,10 @@ class TriangleCountKernel:
             counter=self._counter(),
         )
         dpu.charge_instructions_all(result.per_tasklet_instr)
-        for tk in range(dpu.config.num_tasklets):
-            dpu.charge_mram_read(
-                tk,
-                int(result.per_tasklet_dma_bytes[tk]),
-                requests=int(result.per_tasklet_dma_requests[tk]),
-            )
+        dpu.charge_mram_read_all(
+            result.per_tasklet_dma_bytes.astype(np.int64),
+            result.per_tasklet_dma_requests.astype(np.int64),
+        )
         dpu.mram.store(
             "triangle_count", np.array([result.triangles], dtype=np.int64), count_write=False
         )

@@ -164,12 +164,10 @@ class ProbeTriangleCountKernel:
             src, dst, num_nodes, costs=self.costs, num_tasklets=dpu.config.num_tasklets
         )
         dpu.charge_instructions_all(result.per_tasklet_instr)
-        for tk in range(dpu.config.num_tasklets):
-            dpu.charge_mram_read(
-                tk,
-                int(result.per_tasklet_dma_bytes[tk]),
-                requests=int(result.per_tasklet_dma_requests[tk]),
-            )
+        dpu.charge_mram_read_all(
+            result.per_tasklet_dma_bytes.astype(np.int64),
+            result.per_tasklet_dma_requests.astype(np.int64),
+        )
         dpu.mram.store(
             "triangle_count", np.array([result.triangles], dtype=np.int64), count_write=False
         )

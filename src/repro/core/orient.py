@@ -11,6 +11,10 @@ of Fig. 2: contiguous regions of equal first node, second nodes ascending.
 The functions here perform the transformation with NumPy and return the
 operation counts a C kernel doing the same work would incur, which the
 :class:`~repro.core.kernel_tc_fast.TriangleCountKernel` charges to the DPU.
+On the host the sort packs each edge into one ``int64`` key
+``u * stride + v`` (``stride`` past the largest ID), whose plain sort is the
+order above; the cost charged is the DPU's merge sort, whatever the host
+sorts with.
 """
 
 from __future__ import annotations
@@ -18,6 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..common.errors import GraphFormatError
+from ..graph.coo import MAX_KEY_NODES
 
 __all__ = ["OrientStats", "orient_and_sort"]
 
@@ -55,17 +62,38 @@ def orient_and_sort(
     Returns
     -------
     (u, v, stats):
-        Sorted oriented arrays plus the work accounting.
+        Sorted oriented arrays (in the input's integer dtype) plus the work
+        accounting.
+
+    Raises
+    ------
+    GraphFormatError
+        On a negative node ID, or one of ``MAX_KEY_NODES`` or more (the sort
+        key would overflow ``int64``).
     """
     u = np.minimum(src, dst)
     v = np.maximum(src, dst)
     if drop_self_loops:
         keep = u != v
         u, v = u[keep], v[keep]
-    order = np.lexsort((v, u))
-    u = u[order]
-    v = v[order]
     m = int(u.size)
+    if m:
+        if int(u.min()) < 0:
+            raise GraphFormatError(f"negative node ID {int(u.min())}")
+        stride = int(v.max()) + 1
+        if stride > MAX_KEY_NODES:
+            raise GraphFormatError(
+                f"node ID {stride - 1} too large for int64 edge keys; "
+                "compact() sparse ID spaces first"
+            )
+        # One key per edge; its plain sort is the lexicographic (u, v) order.
+        keys = u.astype(np.int64)
+        keys *= stride
+        keys += v
+        keys.sort()
+        first, second = np.divmod(keys, stride)
+        u = first.astype(u.dtype, copy=False)
+        v = second.astype(v.dtype, copy=False)
     if m > 1:
         sort_steps = int(m * np.ceil(np.log2(m)))
         runs = max(1, int(np.ceil(m / max(1, wram_run_edges))))

@@ -95,10 +95,18 @@ def expand_slices(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def build_region_index(u_sorted: np.ndarray) -> RegionIndex:
-    """Build the region table from the sorted first-node column."""
-    if u_sorted.size == 0:
+    """Build the region table from the sorted first-node column.
+
+    A region starts at offset 0 and wherever the column changes value, and
+    ends where the next one starts; one comparison pass over the column, as
+    the DPU's table build scans its sorted sample once.
+    """
+    m = int(u_sorted.size)
+    if m == 0:
         empty = np.empty(0, dtype=np.int64)
         return RegionIndex(nodes=empty, starts=empty.copy(), ends=empty.copy())
-    nodes, starts = np.unique(u_sorted, return_index=True)
-    ends = np.append(starts[1:], u_sorted.size).astype(np.int64)
-    return RegionIndex(nodes=nodes.astype(np.int64), starts=starts.astype(np.int64), ends=ends)
+    bounds = np.concatenate(([0], np.flatnonzero(u_sorted[1:] != u_sorted[:-1]) + 1, [m]))
+    starts = bounds[:-1]
+    return RegionIndex(
+        nodes=u_sorted[starts].astype(np.int64), starts=starts, ends=bounds[1:]
+    )

@@ -22,7 +22,10 @@ import numpy as np
 from ..common.errors import GraphFormatError
 from ..common.validation import check_int_array
 
-__all__ = ["COOGraph"]
+__all__ = ["COOGraph", "MAX_KEY_NODES"]
+
+#: Largest node-ID span whose ``u * n + v`` edge keys fit in ``int64``.
+MAX_KEY_NODES = 3_000_000_000
 
 
 @dataclass
@@ -147,7 +150,7 @@ class COOGraph:
         fast kernels: sorted keys + ``searchsorted`` is the NumPy analogue of
         the binary search into the region table the DPU kernel performs.
         """
-        if self.num_nodes > 3_000_000_000:
+        if self.num_nodes > MAX_KEY_NODES:
             raise GraphFormatError(
                 "edge keys need num_nodes**2 < 2**63; compact() sparse ID spaces first"
             )

@@ -112,6 +112,42 @@ class Dpu:
         self.lifetime_dma_requests += int(requests)
         self.lifetime_dma_bytes += int(nbytes)
 
+    def charge_mram_read_all(self, nbytes: np.ndarray, requests: np.ndarray) -> None:
+        """Charge one DMA read per tasklet: ``nbytes[tk]`` bytes split over
+        ``requests[tk]`` transfers (index = tasklet ID).
+
+        Equivalent to :meth:`charge_mram_read` called once per tasklet in
+        ascending order, to the bit: each tasklet's ledger entry takes the
+        same float operations in the same order.
+        """
+        self._charge_dma_all(nbytes, requests, self.cost.mram_read_bandwidth)
+
+    def charge_mram_write_all(self, nbytes: np.ndarray, requests: np.ndarray) -> None:
+        """Vector form of :meth:`charge_mram_write`; see :meth:`charge_mram_read_all`."""
+        self._charge_dma_all(nbytes, requests, self.cost.mram_write_bandwidth)
+
+    def _charge_dma_all(
+        self, nbytes: np.ndarray, requests: np.ndarray, bandwidth: float
+    ) -> None:
+        nbytes = np.asarray(nbytes, dtype=np.int64)
+        requests = np.asarray(requests, dtype=np.int64)
+        shape = self._dma_seconds.shape
+        if nbytes.shape != shape or requests.shape != shape:
+            raise KernelLaunchError(
+                f"expected {shape[0]} tasklet DMA charges, got shapes "
+                f"{nbytes.shape} and {requests.shape}"
+            )
+        if nbytes.min() < 0 or requests.min() < 0:
+            raise KernelLaunchError("DMA charge must be non-negative")
+        setup = requests * self.cost.mram_dma_latency_cycles / self.config.clock_hz
+        self._dma_seconds += setup + nbytes / bandwidth
+        total_requests = int(requests.sum())
+        total_bytes = int(nbytes.sum())
+        self._dma_requests += total_requests
+        self._dma_bytes += total_bytes
+        self.lifetime_dma_requests += total_requests
+        self.lifetime_dma_bytes += total_bytes
+
     def _check_tasklet(self, tasklet: int) -> None:
         if not (0 <= tasklet < self.config.num_tasklets):
             raise KernelLaunchError(

@@ -84,6 +84,51 @@ class TestAssignment:
         )
 
 
+def _int64_argsort_routing(p: ColoringPartitioner, src, dst):
+    """The routing as first written: int64 core IDs, C-fold tiled edge
+    arrays, one int64 stable argsort."""
+    c, t, m = p.num_colors, p.num_dpus, src.size
+    cu, cv = p.node_colors(src), p.node_colors(dst)
+    ids = np.stack([p.table.lut[cu, cv, np.int64(x)] for x in range(c)]).ravel()
+    order = np.argsort(ids.astype(np.int64), kind="stable")
+    flat_src = np.tile(src.astype(np.int64), c)[order]
+    flat_dst = np.tile(dst.astype(np.int64), c)[order]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=t))))
+    return [
+        (flat_src[bounds[i] : bounds[i + 1]], flat_dst[bounds[i] : bounds[i + 1]])
+        for i in range(t)
+    ]
+
+
+class TestRoutingOrder:
+    """Each core gets the same copies in the same (stream) order as the
+    int64 stable argsort gave; reservoir acceptance depends on the order."""
+
+    @pytest.mark.parametrize("c", [1, 2, 6, 8, 14])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_same_arrays_same_order(self, c, dtype):
+        rng = np.random.default_rng(c)
+        m = 3000
+        src = rng.integers(0, 500, m).astype(dtype)
+        dst = rng.integers(0, 500, m).astype(dtype)
+        p = make_partitioner(c, seed=c)
+        part = p.assign_arrays(src, dst)
+        want = _int64_argsort_routing(p, src, dst)
+        assert len(part.per_dpu) == len(want) == p.num_dpus
+        for (s, d), (ws, wd) in zip(part.per_dpu, want):
+            assert s.dtype == d.dtype == np.int64
+            assert np.array_equal(s, ws)
+            assert np.array_equal(d, wd)
+        assert part.counts.tolist() == [s.size for s, _ in want]
+
+    def test_degree_partitioner_same_order(self, small_graph):
+        p = make_degree_partitioner(5).fit(small_graph)
+        part = p.assign(small_graph)
+        want = _int64_argsort_routing(p, small_graph.src, small_graph.dst)
+        for (s, d), (ws, wd) in zip(part.per_dpu, want):
+            assert np.array_equal(s, ws) and np.array_equal(d, wd)
+
+
 class TestCountingInvariant:
     """Summed per-core counts + mono correction == exact triangle count."""
 

@@ -22,6 +22,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             DynamicPimCounter(10, num_colors=2, misra_gries_k=8)
 
+    def test_core_budget_checked_before_triplet_table(self, monkeypatch):
+        """Too many colors are refused before the C**3 triplet table is built."""
+        from repro.coloring.triplets import TripletTable
+
+        def build(cls, num_colors):
+            raise AssertionError(f"triplet table built for C={num_colors}")
+
+        monkeypatch.setattr(TripletTable, "build", classmethod(build))
+        with pytest.raises(ConfigurationError, match="PIM cores"):
+            DynamicPimCounter(10, num_colors=10**5)
+
     def test_rejects_node_range_beyond_edge_keys(self):
         with pytest.raises(ConfigurationError):
             DynamicPimCounter(2**32, num_colors=1)

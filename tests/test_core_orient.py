@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common.errors import GraphFormatError
 from repro.core.orient import orient_and_sort
+from repro.graph.coo import MAX_KEY_NODES
 
 from conftest import edge_list_strategy
 
@@ -69,3 +73,73 @@ class TestOrientAndSort:
         keep = lo != hi
         expected = sorted((lo[keep] * n + hi[keep]).tolist())
         assert got == expected
+
+
+def _lexsort_reference(src, dst, drop_self_loops=True):
+    """The two-key ``np.lexsort`` formulation the one-key sort replaced."""
+    u = np.minimum(src, dst)
+    v = np.maximum(src, dst)
+    if drop_self_loops:
+        keep = u != v
+        u, v = u[keep], v[keep]
+    order = np.lexsort((v, u))
+    return u[order], v[order]
+
+
+class TestOneKeySortMatchesLexsort:
+    """The packed ``u * stride + v`` key sort returns exactly what
+    ``np.lexsort((v, u))`` gave: same values, same order, same dtype."""
+
+    @staticmethod
+    def _check(src, dst, drop_self_loops=True):
+        u, v, stats = orient_and_sort(src, dst, drop_self_loops=drop_self_loops)
+        ref_u, ref_v = _lexsort_reference(src, dst, drop_self_loops)
+        assert u.dtype == ref_u.dtype and v.dtype == ref_v.dtype
+        assert np.array_equal(u, ref_u)
+        assert np.array_equal(v, ref_v)
+        assert stats.edges == ref_u.size
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64]),
+        pairs=st.lists(
+            st.tuples(
+                st.integers(0, 2**31 - 1) | st.integers(0, 12),
+                st.integers(0, 2**31 - 1) | st.integers(0, 12),
+            ),
+            max_size=60,
+        ),
+        drop_self_loops=st.booleans(),
+    )
+    def test_matches_lexsort(self, dtype, pairs, drop_self_loops):
+        arr = np.array(pairs, dtype=dtype).reshape(-1, 2)
+        self._check(arr[:, 0].copy(), arr[:, 1].copy(), drop_self_loops)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_empty_input(self, dtype):
+        empty = np.empty(0, dtype=dtype)
+        self._check(empty, empty.copy())
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_all_self_loops(self, dtype):
+        nodes = np.array([4, 0, 2**31 - 1, 4], dtype=dtype)
+        u, v, stats = orient_and_sort(nodes, nodes.copy())
+        assert u.size == v.size == stats.edges == 0
+        self._check(nodes, nodes.copy())
+        self._check(nodes, nodes.copy(), drop_self_loops=False)
+
+    def test_largest_key_id_is_accepted(self):
+        top = MAX_KEY_NODES - 1
+        src = np.array([top, 0, 5], dtype=np.int64)
+        dst = np.array([top - 1, top, 5 + top // 2], dtype=np.int64)
+        self._check(src, dst)
+
+    def test_overflowing_key_is_refused(self):
+        src = np.array([0, 1], dtype=np.int64)
+        dst = np.array([1, MAX_KEY_NODES], dtype=np.int64)
+        with pytest.raises(GraphFormatError, match="int64 edge keys"):
+            orient_and_sort(src, dst)
+
+    def test_negative_id_is_refused(self):
+        with pytest.raises(GraphFormatError, match="negative"):
+            orient_and_sort(np.array([-1, 2]), np.array([3, 4]))

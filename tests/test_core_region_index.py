@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.orient import orient_and_sort
 from repro.core.region_index import build_region_index
@@ -83,3 +85,25 @@ class TestConsistencyWithSort:
         fwd = np.bincount(u, minlength=small_graph.num_nodes)
         for node, start, end in zip(idx.nodes, idx.starts, idx.ends):
             assert end - start == fwd[node]
+
+
+class TestMatchesUniqueForm:
+    """Region starts found where the sorted column changes value give the
+    table ``np.unique(..., return_index=True)`` gave: values and dtypes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64]),
+        column=st.lists(st.integers(0, 2**31 - 1) | st.integers(0, 8), max_size=50),
+    )
+    def test_matches_np_unique(self, dtype, column):
+        u = np.sort(np.array(column, dtype=dtype))
+        idx = build_region_index(u)
+        if u.size:
+            nodes, starts = np.unique(u, return_index=True)
+            ends = np.append(starts[1:], u.size)
+        else:
+            nodes = starts = ends = np.empty(0, dtype=np.int64)
+        for got, want in ((idx.nodes, nodes), (idx.starts, starts), (idx.ends, ends)):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)

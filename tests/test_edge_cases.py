@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro import DynamicPimCounter, PimTriangleCounter
+from repro.common.errors import GraphFormatError
 from repro.graph.coo import COOGraph
 from repro.graph.triangles import count_triangles
+from repro.pimsim.system import PimSystem
 
 
 def pipeline_count(graph: COOGraph, colors: int = 4, **kw) -> int:
@@ -98,6 +100,42 @@ class TestMessyRawInput:
         assert result.count == 0
         assert result.local_estimates.shape == (6,)
         assert not result.local_estimates.any()
+
+
+class TestRepeatedEdgesRefused:
+    """The static API counts simple graphs: an edge given twice, in either
+    orientation, is refused on the host instead of counted twice."""
+
+    @pytest.mark.parametrize("repeat", [(0, 1), (1, 0)])
+    @pytest.mark.parametrize("method", ["count", "count_local"])
+    @pytest.mark.parametrize("batch_edges", [None, 2])
+    def test_repeat_raises(self, repeat, method, batch_edges):
+        g = COOGraph.from_edges([(0, 1), (1, 2), (0, 2), repeat], num_nodes=3)
+        counter = PimTriangleCounter(num_colors=2, seed=0, batch_edges=batch_edges)
+        with pytest.raises(GraphFormatError, match=r"edge \(0, 1\)"):
+            getattr(counter, method)(g)
+
+    def test_names_the_first_repeat_in_key_order(self):
+        g = COOGraph.from_edges([(5, 6), (3, 4), (6, 5), (4, 3), (0, 1)], num_nodes=7)
+        with pytest.raises(GraphFormatError, match=r"edge \(3, 4\)"):
+            pipeline_count(g)
+
+    def test_refused_before_any_core_is_allocated(self, monkeypatch):
+        def allocate(*args, **kwargs):
+            raise AssertionError("PIM cores allocated for a refused graph")
+
+        monkeypatch.setattr(PimSystem, "allocate", allocate)
+        g = COOGraph.from_edges([(0, 1), (1, 0)], num_nodes=2)
+        with pytest.raises(GraphFormatError):
+            PimTriangleCounter(num_colors=2, seed=0).count(g)
+
+    def test_self_loops_are_still_dropped(self):
+        g = COOGraph.from_edges(
+            [(0, 1), (1, 2), (0, 2), (1, 1), (2, 2), (1, 1)], num_nodes=3
+        )
+        assert pipeline_count(g) == 1
+        local = PimTriangleCounter(num_colors=2, seed=0).count_local(g)
+        assert local.count == 1
 
 
 class TestDynamicEdgeCases:

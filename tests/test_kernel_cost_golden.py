@@ -10,10 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import PimTriangleCounter
 from repro.core.kernel_tc_fast import KernelCosts, fast_count
 from repro.core.kernel_tc_probe import probe_count
 from repro.core.orient import orient_and_sort
 from repro.core.region_index import build_region_index
+from repro.graph.generators import rmat
 
 # The worked sample from docs/algorithm.md: 6 nodes, 8 edges, 2 triangles.
 EDGES = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4), (4, 5), (1, 5)]
@@ -105,3 +107,146 @@ class TestTaskletAssignment:
         res = fast_count(src, dst, num_nodes=3, num_tasklets=1)
         assert res.per_tasklet_instr.shape == (1,)
         assert res.per_tasklet_instr[0] > 0
+
+
+class TestStaticPipelineGolden:
+    """Simulated numbers of the static pipeline, pinned to the bit.
+
+    One seeded R-MAT graph at C=6 through five configurations, each of which
+    exercises a different charge path: the exact merge kernel; uniform
+    sampling with overflowing reservoirs, a Misra-Gries remap and chunked
+    ingest; the probe kernel; local counts with a remap; and degree-based
+    partitioning with between-chunk rebalancing.  A host-side speed-up must
+    leave every value here equal: the estimate, each clock phase, the
+    per-core counts and the kernel aggregate (instructions, DMA requests,
+    DMA bytes, slowest core's compute seconds).
+    """
+
+    CONFIGS = {
+        "exact": ("count", {}),
+        "sampled": (
+            "count",
+            dict(
+                uniform_p=0.5, reservoir_capacity=60, misra_gries_k=32,
+                misra_gries_t=4, batch_edges=700,
+            ),
+        ),
+        "probe": ("count", dict(kernel_variant="probe")),
+        "local_mg": ("count_local", dict(misra_gries_k=32, misra_gries_t=4)),
+        "degree": ("count", dict(partitioner="degree", rebalance_cv=0.0, batch_edges=700)),
+    }
+
+    GOLDEN = {
+        "exact": {
+            "estimate": "0x1.7540000000000p+14",
+            "phases": {
+                "setup": "0x1.96a52b44bda45p-7",
+                "sample_creation": "0x1.c07fe4b39f053p-13",
+                "triangle_count": "0x1.bdf5e4908e9f8p-10",
+            },
+            "per_dpu_counts": [
+                128, 584, 493, 434, 476, 455, 591, 838, 712, 825, 834, 491, 548, 747,
+                730, 275, 581, 603, 376, 588, 426, 145, 560, 481, 571, 559, 522, 616,
+                798, 809, 278, 637, 694, 420, 720, 475, 125, 371, 503, 470, 231, 558,
+                546, 417, 644, 427, 42, 245, 274, 317, 502, 386, 76, 321, 369, 94
+            ],
+            "kernel": (7572003, 27150, 3990376, "0x1.ae348c67384eap-10"),
+        },
+        "sampled": {
+            "estimate": "0x1.e760bca41a740p+13",
+            "phases": {
+                "setup": "0x1.96a52b44bda45p-7",
+                "sample_creation": "0x1.594d0dde07fb2p-11",
+                "triangle_count": "0x1.88ac85d6124bcp-13",
+            },
+            "per_dpu_counts": [
+                4, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 5, 0, 0,
+                0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 3, 2,
+                2, 1, 0, 0, 9, 2, 1, 3
+            ],
+            "kernel": (381330, 3561, 146184, "0x1.0aa1c48b5fc51p-13"),
+        },
+        "probe": {
+            "estimate": "0x1.7540000000000p+14",
+            "phases": {
+                "setup": "0x1.96a52b44bda45p-7",
+                "sample_creation": "0x1.c07fe4b39f053p-13",
+                "triangle_count": "0x1.1e846054a8a41p-6",
+            },
+            "per_dpu_counts": [
+                128, 584, 493, 434, 476, 455, 591, 838, 712, 825, 834, 491, 548, 747,
+                730, 275, 581, 603, 376, 588, 426, 145, 560, 481, 571, 559, 522, 616,
+                798, 809, 278, 637, 694, 420, 720, 475, 125, 371, 503, 470, 231, 558,
+                546, 417, 644, 427, 42, 245, 274, 317, 502, 386, 76, 321, 369, 94
+            ],
+            "kernel": (19229720, 1812525, 18275848, "0x1.1d884ad2133f1p-6"),
+        },
+        "local_mg": {
+            "estimate": "0x1.7540000000000p+14",
+            "phases": {
+                "setup": "0x1.96a52b44bda45p-7",
+                "sample_creation": "0x1.ee6b937b3bce7p-13",
+                "triangle_count": "0x1.690a5757eb16cp-10",
+            },
+            "per_dpu_counts": [
+                128, 584, 493, 434, 476, 455, 591, 838, 712, 825, 834, 491, 548, 747,
+                730, 275, 581, 603, 376, 588, 426, 145, 560, 481, 571, 559, 522, 616,
+                798, 809, 278, 637, 694, 420, 720, 475, 125, 371, 503, 470, 231, 558,
+                546, 417, 644, 427, 42, 245, 274, 317, 502, 386, 76, 321, 369, 94
+            ],
+            "kernel": (7671137, 34615, 5202344, "0x1.3a4c139d9086ap-10"),
+        },
+        "degree": {
+            "estimate": "0x1.7540000000000p+14",
+            "phases": {
+                "setup": "0x1.96a6704a48812p-7",
+                "sample_creation": "0x1.50fb531e32669p-10",
+                "triangle_count": "0x1.c72004ca95d74p-10",
+            },
+            "per_dpu_counts": [
+                114, 498, 462, 440, 441, 422, 424, 722, 735, 754, 717, 498, 661, 763,
+                740, 408, 627, 729, 415, 597, 417, 77, 326, 390, 404, 354, 433, 657,
+                699, 618, 397, 673, 719, 425, 613, 415, 125, 452, 504, 470, 400, 663,
+                712, 421, 659, 427, 85, 361, 444, 347, 578, 459, 83, 345, 365, 94
+            ],
+            "kernel": (7548603, 27050, 3960776, "0x1.b75eaca13f866p-10"),
+        },
+    }
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng = np.random.default_rng(11)
+        return rmat(10, 8, rng).canonicalize().shuffle(rng)
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_simulated_numbers_are_pinned(self, graph, name):
+        method, options = self.CONFIGS[name]
+        counter = PimTriangleCounter(num_colors=6, seed=5, **options)
+        result = getattr(counter, method)(graph)
+        want = self.GOLDEN[name]
+        k = result.kernel
+        assert float(result.estimate).hex() == want["estimate"]
+        assert {p: s.hex() for p, s in result.clock.phases.items()} == want["phases"]
+        assert result.per_dpu_counts.tolist() == want["per_dpu_counts"]
+        assert (
+            k.instructions, k.dma_requests, k.dma_bytes,
+            k.max_dpu_compute_seconds.hex(),
+        ) == want["kernel"]
+
+        # Each configuration really takes the path it is here for.
+        remapped = any(
+            e.kind == "broadcast" and e.detail == "remap_table"
+            for e in result.trace.events
+        )
+        assert remapped == ("misra_gries_k" in options)
+        if name == "sampled":
+            assert np.all(result.edges_routed > options["reservoir_capacity"])
+            assert np.all(result.reservoir_scales < 1.0)
+            assert result.meta["ingest_batches"] > 1
+        else:
+            assert result.is_exact
+        if name == "degree":
+            assert result.meta["partitioner"] == "degree"
+            assert result.meta["rebalances"]
+        if name == "probe":
+            assert k.instructions != self.GOLDEN["exact"]["kernel"][0]

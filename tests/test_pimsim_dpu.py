@@ -141,3 +141,88 @@ class TestDmaModel:
         assert ratio == pytest.approx(
             cost.mram_write_bandwidth / cost.mram_read_bandwidth, rel=1e-6
         )
+
+
+def _ledgers(dpu: Dpu) -> tuple:
+    """Everything a DMA charge touches, floats as hex."""
+    instr, dma = dpu.charge_vectors()
+    stats = dpu.run_stats()
+    return (
+        [x.hex() for x in instr.tolist()],
+        [x.hex() for x in dma.tolist()],
+        stats.dma_requests,
+        stats.dma_bytes,
+        stats.compute_seconds.hex(),
+        dpu.lifetime_dma_requests,
+        dpu.lifetime_dma_bytes,
+    )
+
+
+class TestVectorDmaCharges:
+    """``charge_mram_read_all`` / ``charge_mram_write_all`` equal one scalar
+    charge per tasklet, to the bit, in every ledger."""
+
+    sizes = st.lists(st.integers(0, 1 << 30), min_size=16, max_size=16)
+    counts = st.lists(st.integers(0, 1 << 20), min_size=16, max_size=16)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        read_bytes=sizes, read_reqs=counts, write_bytes=sizes, write_reqs=counts,
+        instr=st.lists(st.floats(0, 1e9), min_size=16, max_size=16),
+    )
+    def test_bit_identical_to_scalar_calls(
+        self, read_bytes, read_reqs, write_bytes, write_reqs, instr
+    ):
+        """Read then write per tasklet, as the remap pass charges them, after
+        an earlier vector of instructions."""
+        scalar, vector = make_dpu(), make_dpu()
+        for dpu in (scalar, vector):
+            dpu.charge_instructions_all(np.array(instr))
+            dpu.charge_mram_read(3, 777, requests=5)  # a prior ledger entry
+        for tk in range(16):
+            scalar.charge_mram_read(tk, read_bytes[tk], requests=read_reqs[tk])
+            scalar.charge_mram_write(tk, write_bytes[tk], requests=write_reqs[tk])
+        vector.charge_mram_read_all(np.array(read_bytes), np.array(read_reqs))
+        vector.charge_mram_write_all(np.array(write_bytes), np.array(write_reqs))
+        assert _ledgers(vector) == _ledgers(scalar)
+
+    def test_write_then_read_order_kept(self):
+        """The local kernel charges write then read per tasklet."""
+        rng = np.random.default_rng(3)
+        nbytes = rng.integers(0, 10**7, 16)
+        reqs = rng.integers(0, 500, 16)
+        scalar, vector = make_dpu(), make_dpu()
+        for tk in range(16):
+            scalar.charge_mram_write(tk, int(nbytes[tk]), requests=int(reqs[tk]))
+            scalar.charge_mram_read(tk, int(nbytes[tk]) // 3, requests=0)
+        vector.charge_mram_write_all(nbytes, reqs)
+        vector.charge_mram_read_all(nbytes // 3, np.zeros(16, dtype=np.int64))
+        assert _ledgers(vector) == _ledgers(scalar)
+
+    def test_other_tasklet_counts(self):
+        scalar, vector = make_dpu(num_tasklets=11), make_dpu(num_tasklets=11)
+        nbytes = np.arange(11) * 1001
+        for tk in range(11):
+            scalar.charge_mram_read(tk, int(nbytes[tk]), requests=tk)
+        vector.charge_mram_read_all(nbytes, np.arange(11))
+        assert _ledgers(vector) == _ledgers(scalar)
+
+    @pytest.mark.parametrize("method", ["charge_mram_read_all", "charge_mram_write_all"])
+    def test_refuses_negative_input(self, method):
+        dpu = make_dpu()
+        ok = np.ones(16, dtype=np.int64)
+        bad = ok.copy()
+        bad[7] = -1
+        for nbytes, reqs in ((bad, ok), (ok, bad)):
+            with pytest.raises(KernelLaunchError, match="non-negative"):
+                getattr(dpu, method)(nbytes, reqs)
+        assert _ledgers(dpu) == _ledgers(make_dpu())
+
+    @pytest.mark.parametrize("method", ["charge_mram_read_all", "charge_mram_write_all"])
+    def test_refuses_wrong_length(self, method):
+        dpu = make_dpu()
+        ok = np.ones(16, dtype=np.int64)
+        for nbytes, reqs in ((ok[:15], ok), (ok, ok[:15]), (np.ones(17), ok), (5, ok)):
+            with pytest.raises(KernelLaunchError, match="tasklet DMA charges"):
+                getattr(dpu, method)(nbytes, reqs)
+        assert _ledgers(dpu) == _ledgers(make_dpu())

@@ -342,6 +342,25 @@ class TestProtocol:
                     client.count("ghost")
                 assert err.value.code == "unknown_session"
 
+    def test_open_with_too_many_colors_is_refused(self, monkeypatch):
+        """An ``open`` whose color count needs more cores than the machine has
+        is answered ``invalid_request`` before any table is built, and the
+        server keeps serving.  (Building the C**3 table for this C would
+        exhaust memory, so the build is patched to fail instead.)"""
+        from repro.coloring.triplets import TripletTable
+
+        def build(cls, num_colors):
+            raise AssertionError(f"triplet table built for C={num_colors}")
+
+        monkeypatch.setattr(TripletTable, "build", classmethod(build))
+        with running_service() as server:
+            with ServiceClient(server.url) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.request("open", session="huge", num_nodes=10, num_colors=10**5)
+                assert err.value.code == "invalid_request"
+                assert "PIM cores" in str(err.value)
+                assert client.ping()["sessions"] == 0
+
     def test_oversized_frame_is_rejected(self):
         with pytest.raises(ProtocolError):
             encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 1)})
