@@ -90,32 +90,23 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="streaming-ingest chunk size in input edges: the "
                              "host samples/routes/transfers the stream in "
                              "B-edge chunks (bounded memory, double-buffered "
-                             "overlap with DPU inserts); default: one chunk "
-                             "(or $REPRO_BATCH_EDGES)")
-    parser.add_argument("--partitioner", default=None,
+                             "overlap with DPU inserts); default: one chunk")
+    parser.add_argument("--partitioner", default="hash",
                         choices=("hash", "degree", "auto"),
                         help="edge-partitioning strategy: 'hash' (universal "
                              "hash coloring, the paper's), 'degree' "
                              "(degree-based hub placement), or 'auto' (pick "
                              "strategy, C and Misra-Gries from graph stats; "
                              "see docs/partitioning.md); counts are identical "
-                             "across strategies "
-                             "(default: $REPRO_PARTITIONER or hash)")
-    parser.add_argument("--rebalance-cv", type=float, default=None, metavar="CV",
-                        help="with --batch-edges: recompute the triplet->core "
-                             "assignment between chunks whenever the cv of "
-                             "accumulated per-core insert seconds exceeds CV "
-                             "(resident samples migrate, charged as a "
-                             "scatter); default: disabled "
-                             "(or $REPRO_REBALANCE_CV)")
-    parser.add_argument("--kernel", default=None,
+                             "across strategies (default: hash)")
+    parser.add_argument("--kernel", default="merge",
                         choices=("merge", "fastvec", "probe"),
                         help="counting kernel variant: 'merge' (the paper's "
                              "Sec. 3.4 merge-intersection), 'fastvec' (same "
                              "charges, numpy searchsorted hot path — changes "
                              "wall-clock only), or 'probe' (binary-search "
                              "wedge checks, a different cost model) "
-                             "(default: $REPRO_KERNEL or merge)")
+                             "(default: merge)")
     parser.add_argument("--local", action="store_true",
                         help="also compute per-node (local) triangle counts")
     parser.add_argument("--top", type=int, default=5,
@@ -125,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--executor", default=None, choices=EXECUTOR_NAMES,
                         help="host engine for the per-DPU kernel runs; changes "
                              "wall-clock only, never simulated time "
-                             "(default: $REPRO_EXECUTOR or serial)")
+                             "(default: serial)")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker count for --executor thread/process "
                              "(default: all cores)")
@@ -259,7 +250,6 @@ def main(argv: list[str] | None = None) -> int:
                 seed=args.seed + trial,
                 batch_edges=args.batch_edges,
                 partitioner=args.partitioner,
-                rebalance_cv=args.rebalance_cv,
                 kernel_variant=args.kernel,
                 executor=args.executor,
                 jobs=args.jobs,
@@ -308,12 +298,6 @@ def main(argv: list[str] | None = None) -> int:
             f"auto-tune: strategy={auto['strategy']} C={auto['num_colors']} "
             f"MG=({auto['misra_gries_k']},{auto['misra_gries_t']}) "
             f"(degree skew {auto['degree_skew']:.1f})"
-        )
-    if result.meta.get("rebalances"):
-        events = result.meta["rebalances"]
-        print(
-            f"rebalances: {len(events)} "
-            f"(moved {sum(e['moved_triplets'] for e in events)} triplet samples)"
         )
     if args.local:
         print(f"top {args.top} nodes by triangle participation:")

@@ -18,8 +18,11 @@ def require(condition: bool, message: str) -> None:
 
 
 def check_positive(name: str, value: Any, *, strict: bool = True) -> int:
-    """Validate that ``value`` is a (strictly) positive integer and return it."""
-    if not isinstance(value, (int, np.integer)):
+    """Validate that ``value`` is a (strictly) positive integer and return it.
+
+    Booleans are refused: ``True`` is an ``int`` to Python, not a count.
+    """
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be an integer, got {type(value).__name__}")
     value = int(value)
     if strict and value <= 0:
@@ -43,10 +46,15 @@ def check_probability(name: str, value: Any, *, allow_zero: bool = False) -> flo
 
 
 def check_int_array(name: str, arr: Any, *, ndim: int = 1) -> np.ndarray:
-    """Coerce ``arr`` to an integer ndarray of the given rank, validating dtype."""
+    """Coerce ``arr`` to an integer ndarray of the given rank, validating dtype.
+
+    Integral floats are converted; fractional floats and booleans are refused.
+    """
     out = np.asarray(arr)
     if out.ndim != ndim:
         raise ConfigurationError(f"{name} must be {ndim}-D, got shape {out.shape}")
+    if out.dtype == np.bool_:
+        raise ConfigurationError(f"{name} must contain integers")
     if not np.issubdtype(out.dtype, np.integer):
         if out.size and not np.all(np.equal(np.mod(out, 1), 0)):
             raise ConfigurationError(f"{name} must contain integers")

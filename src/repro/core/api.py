@@ -22,7 +22,6 @@ and the Misra-Gries optimization for hub-heavy graphs (Sec. 3.5)::
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 
 from ..coloring.triplets import colors_for_dpus, num_triplets
@@ -54,33 +53,14 @@ class PimTriangleCounter:
         misra_gries_t: int = 0,
         seed: int = 0,
         batch_edges: int | None = None,
-        partitioner: str | None = None,
-        rebalance_cv: float | None = None,
-        kernel_variant: str | None = None,
+        partitioner: str = "hash",
+        kernel_variant: str = "merge",
         executor: str | None = None,
         jobs: int | None = None,
         system_config: PimSystemConfig | None = None,
         options: PimTcOptions | None = None,
         telemetry: Telemetry | None = None,
     ) -> None:
-        # Streaming-ingest chunk size: like the executor knobs below, the
-        # REPRO_BATCH_EDGES env var lets the experiment harness flip every
-        # counter it builds without threading the flag through call sites.
-        if batch_edges is None:
-            env_batch = os.environ.get("REPRO_BATCH_EDGES")
-            batch_edges = int(env_batch) if env_batch else None
-        # Partitioning strategy ("hash" / "degree" / "auto") and the
-        # between-batch rebalance trigger follow the same env-var pattern.
-        if partitioner is None:
-            partitioner = os.environ.get("REPRO_PARTITIONER") or "hash"
-        if rebalance_cv is None:
-            env_cv = os.environ.get("REPRO_REBALANCE_CV")
-            rebalance_cv = float(env_cv) if env_cv else None
-        # Counting kernel ("merge" / "fastvec" / "probe"): "fastvec" is the
-        # wall-clock-only variant — simulated metrics are pinned bit-identical
-        # to "merge" by the differential grid.
-        if kernel_variant is None:
-            kernel_variant = os.environ.get("REPRO_KERNEL") or "merge"
         if options is None:
             options = PimTcOptions(
                 num_colors=num_colors,
@@ -91,21 +71,12 @@ class PimTriangleCounter:
                 seed=seed,
                 batch_edges=batch_edges,
                 partitioner=partitioner,
-                rebalance_cv=rebalance_cv,
                 kernel_variant=kernel_variant,
             )
         self.options = options
         config = system_config or PimSystemConfig()
         # Host execution engine (``serial``/``thread``/``process``): purely a
         # wall-clock knob — simulated times and counts are engine-invariant.
-        # REPRO_EXECUTOR / REPRO_JOBS let the experiment harness flip every
-        # counter it builds (e.g. the fig4 sweep at bench tier) without
-        # threading the knob through each construction site.
-        if executor is None:
-            executor = os.environ.get("REPRO_EXECUTOR") or None
-        if jobs is None:
-            env_jobs = os.environ.get("REPRO_JOBS")
-            jobs = int(env_jobs) if env_jobs else None
         if executor is not None or jobs is not None:
             config = config.with_executor(
                 executor if executor is not None else config.executor,

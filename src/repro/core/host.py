@@ -54,6 +54,11 @@ from .result import KernelAggregate, TcResult
 
 __all__ = ["PimTcOptions", "PimTcPipeline"]
 
+#: Extra host cycles per edge spent updating the Misra-Gries summary.
+MG_HOST_CYCLES_PER_EDGE = 25.0
+#: Fraction of MRAM reserved for the region table, stats and stack.
+MRAM_RESERVE_FRACTION = 0.0625
+
 
 def _ingest_chunk(dpu: Dpu, payload: tuple) -> tuple[EdgeReservoir, int, float]:
     """Per-DPU ingest task: offer one routed chunk to the core's reservoir.
@@ -122,15 +127,9 @@ class _PreparedRun:
     #: Peak bytes of routed edge buffers resident on the host at once.
     peak_routed_bytes: int = 0
     #: Per-DPU simulated seconds of sample insertion (imbalance ledger input).
-    #: Indexed by *physical core* (== triplet when no rebalance happened).
     insert_seconds: np.ndarray | None = None
     #: Misra-Gries remap table broadcast to the cores (None when disabled).
     remap_nodes: np.ndarray | None = None
-    #: Triplet -> physical core map after between-batch rebalancing;
-    #: ``None`` means the identity (no rebalance fired).
-    dpu_of_triplet: np.ndarray | None = None
-    #: One record per rebalance event (batch index, trigger cv, moved work).
-    rebalances: list = field(default_factory=list)
 
     def reservoir_scales(self) -> np.ndarray:
         return np.array(
@@ -147,8 +146,9 @@ class PimTcOptions:
     num_colors: int = 4
     #: Uniform sampling keep-probability ``p`` (Sec. 3.2); 1.0 = exact path.
     uniform_p: float = 1.0
-    #: Per-core reservoir capacity in edges (Sec. 3.3); ``None`` sizes it from
-    #: the MRAM bank, which at paper scale effectively disables sampling.
+    #: Per-core reservoir capacity in edges (Sec. 3.3), at least 3; ``None``
+    #: sizes it from the MRAM bank, which at paper scale effectively disables
+    #: sampling.
     reservoir_capacity: int | None = None
     #: Misra-Gries table size ``K`` (0 disables the summary entirely).
     misra_gries_k: int = 0
@@ -158,10 +158,6 @@ class PimTcOptions:
     seed: int = 0
     #: Instruction-cost constants of the DPU kernel.
     kernel_costs: KernelCosts = field(default_factory=KernelCosts)
-    #: Extra host cycles per edge spent updating the Misra-Gries summary.
-    mg_host_cycles_per_edge: float = 25.0
-    #: Fraction of MRAM reserved for the region table, stats and stack.
-    mram_reserve_fraction: float = 0.0625
     #: Counting kernel: "merge" (the paper's, Sec. 3.4), "fastvec"
     #: (identical charges, searchsorted count arithmetic; see
     #: core.kernel_tc_vec) or "probe" (binary-search wedge checks; see
@@ -179,12 +175,6 @@ class PimTcOptions:
     #: (pick strategy / C / Misra-Gries from graph stats, with a decision
     #: trace in the result meta).  Counts are identical across strategies.
     partitioner: str = "hash"
-    #: Between-batch rebalance trigger for the chunked ingest path: when the
-    #: coefficient of variation of accumulated per-core insert seconds
-    #: exceeds this value, the triplet->core assignment is recomputed for
-    #: subsequent chunks (resident samples migrate, charged as a scatter).
-    #: ``None`` disables rebalancing.
-    rebalance_cv: float | None = None
 
     def __post_init__(self) -> None:
         if self.num_colors < 1:
@@ -194,8 +184,6 @@ class PimTcOptions:
                 f"partitioner must be one of {PARTITIONER_STRATEGIES}, "
                 f"got {self.partitioner!r}"
             )
-        if self.rebalance_cv is not None and self.rebalance_cv < 0:
-            raise ConfigurationError("rebalance_cv must be >= 0 or None")
         if self.kernel_variant not in ("merge", "fastvec", "probe"):
             raise ConfigurationError(
                 f"kernel_variant must be 'merge', 'fastvec' or 'probe', "
@@ -205,6 +193,12 @@ class PimTcOptions:
             raise ConfigurationError("batch_edges must be >= 1 or None")
         if not (0.0 < self.uniform_p <= 1.0):
             raise ConfigurationError("uniform_p must be in (0, 1]")
+        # A sample of fewer than three edges holds no triangle, so every core
+        # that overflows it would count 0 and the estimate would read 0.
+        if self.reservoir_capacity is not None and self.reservoir_capacity < 3:
+            raise ConfigurationError(
+                f"reservoir_capacity must be >= 3 or None, got {self.reservoir_capacity}"
+            )
         if self.misra_gries_t > 0 and self.misra_gries_k <= 0:
             raise ConfigurationError("misra_gries_t requires misra_gries_k > 0")
         if self.misra_gries_k > 0 and self.misra_gries_t <= 0:
@@ -286,11 +280,9 @@ class PimTcPipeline:
     def _reservoir_capacity(self) -> int:
         opts = self.active_options
         if opts.reservoir_capacity is not None:
-            if opts.reservoir_capacity < 1:
-                raise ConfigurationError("reservoir_capacity must be >= 1")
             return int(opts.reservoir_capacity)
         dpu_cfg = self.system.config.dpu
-        usable = int(dpu_cfg.mram_bytes * (1.0 - opts.mram_reserve_fraction))
+        usable = int(dpu_cfg.mram_bytes * (1.0 - MRAM_RESERVE_FRACTION))
         return max(1, usable // opts.kernel_costs.edge_bytes)
 
     # --------------------------------------------------------------------- run
@@ -392,26 +384,17 @@ class PimTcPipeline:
         edges_kept = 0
         peak_routed_bytes = 0
         window_bytes = 0  # routed bytes of the still-inserting previous chunk
-        # Triplet -> physical core map; rebalancing permutes it between chunks.
-        dpu_of_triplet = np.arange(num_dpus, dtype=np.int64)
-        rebalanced = False
-        rebalances: list[dict] = []
         batch_edges = opts.batch_edges or max(1, graph.num_edges)
         batches_total = num_batches(graph.num_edges, batch_edges)
-        pending: tuple | None = None  # (k, h_k, xfer_s, xfer_b, join, perm, targets, kept_k)
+        pending: tuple | None = None  # (k, h_k, xfer_seconds, xfer_bytes, join, kept_k)
 
         def drain(entry: tuple) -> None:
             """Join one in-flight chunk and advance the overlapped clock."""
-            k, h_k, xfer_seconds, xfer_bytes, join, perm, targets, kept_k = entry
+            k, h_k, xfer_seconds, xfer_bytes, join, kept_k = entry
             results = join()
             for t, (res, _n_in, secs) in enumerate(results):
                 reservoirs[t] = res
-                insert_secs[perm[t]] += secs
-            # The process engine splices post-run DPU state into the list it
-            # was handed; that list is our triplet-ordered view, so propagate
-            # the (possibly replaced) objects back to their physical slots.
-            for t, core in enumerate(perm.tolist()):
-                dpus.dpus[core] = targets[t]
+                insert_secs[t] += secs
             compute = max((secs for _, _, secs in results), default=0.0)
             d_k = xfer_seconds + cost.launch_latency + compute
             delta = schedule.step(h_k, d_k)
@@ -468,7 +451,7 @@ class PimTcPipeline:
                 if merged_mg is not None:
                     self._mg_update(merged_mg, s_kept, d_kept)
                     h_k += self._host_seconds(
-                        opts.mg_host_cycles_per_edge, int(s_kept.size)
+                        MG_HOST_CYCLES_PER_EDGE, int(s_kept.size)
                     )
                 part = partitioner.assign_arrays(s_kept, d_kept)
                 routed_counts += part.counts
@@ -481,37 +464,23 @@ class PimTcPipeline:
                 if pending is not None:
                     drain(pending)
                     pending = None
-                    if opts.rebalance_cv is not None:
-                        moved = self._maybe_rebalance(
-                            dpus, clock, dpu_of_triplet, insert_secs,
-                            routed_counts, reservoirs, capacity, edge_bytes,
-                            k - 1, rebalances,
-                        )
-                        if moved is not None:
-                            dpu_of_triplet = moved
-                            rebalanced = True
-                # The transfer cost is evaluated under the *current* core map:
-                # rank padding depends on which physical core each triplet's
-                # bytes land on (identity map -> identical to the pre-map
-                # ordering, so hash baselines stay bit-exact).
-                core_bytes = np.zeros(num_dpus, dtype=np.int64)
-                core_bytes[dpu_of_triplet] = part.counts * edge_bytes
+                core_bytes = part.counts * edge_bytes
                 stats = dpus.transfer.scatter(core_bytes)
                 xfer_seconds, xfer_bytes = stats.seconds, stats.payload_bytes
                 dpus.note_dpu_xfer(core_bytes)
                 # Payloads are built only after the previous join so the
                 # process engine's returned reservoirs (fresh RNG state) are
-                # the ones offered the next chunk.
+                # the ones offered the next chunk.  Triplet ``t`` lives on
+                # core ``t``; the process engine splices the post-run DPUs
+                # back into ``dpus.dpus`` when the chunk is joined.
                 payloads = [
                     (reservoirs[t], s_arr, d_arr, opts.kernel_costs)
                     for t, (s_arr, d_arr) in enumerate(part.per_dpu)
                 ]
-                targets = [dpus.dpus[int(c)] for c in dpu_of_triplet]
-                join = dpus.executor.map_dpus_async(_ingest_chunk, targets, payloads)
-                pending = (
-                    k, h_k, xfer_seconds, xfer_bytes, join, dpu_of_triplet,
-                    targets, edges_kept,
+                join = dpus.executor.map_dpus_async(
+                    _ingest_chunk, dpus.dpus, payloads
                 )
+                pending = (k, h_k, xfer_seconds, xfer_bytes, join, edges_kept)
             if pending is not None:
                 drain(pending)
 
@@ -534,9 +503,7 @@ class PimTcPipeline:
                     )
             # Materialize the final reservoir contents into each core's MRAM
             # region (the per-chunk tasks already charged the write work).
-            # Reservoirs are triplet-ordered; route each to its physical core.
-            for t, res in enumerate(reservoirs):
-                dpu = dpus.dpus[int(dpu_of_triplet[t])]
+            for dpu, res in zip(dpus.dpus, reservoirs):
                 keep_src, keep_dst = res.edges()
                 dpu.mram.store("sample_src", keep_src.astype(np.int32), count_write=False)
                 dpu.mram.store("sample_dst", keep_dst.astype(np.int32), count_write=False)
@@ -547,15 +514,6 @@ class PimTcPipeline:
             m.counter("host.ingest.batches", help="streaming ingest chunks processed").inc(
                 schedule.batches
             )
-            if rebalances:
-                m.counter(
-                    "host.rebalance.events",
-                    help="between-batch triplet->core rebalances",
-                ).inc(len(rebalances))
-                m.counter(
-                    "host.rebalance.moved_bytes",
-                    help="resident sample bytes migrated by rebalancing",
-                ).inc(sum(r["moved_bytes"] for r in rebalances))
             m.gauge(
                 "host.ingest.peak_routed_bytes",
                 help="peak bytes of routed edge buffers resident on the host",
@@ -585,8 +543,6 @@ class PimTcPipeline:
                 if remap_payload is not None and remap_payload.t > 0
                 else None
             ),
-            dpu_of_triplet=dpu_of_triplet if rebalanced else None,
-            rebalances=rebalances,
         )
 
     def _finish_global(self, graph: COOGraph, prep: "_PreparedRun") -> TcResult:
@@ -597,10 +553,6 @@ class PimTcPipeline:
             dpus.launch(phase="triangle_count")
             raw_arrays = dpus.gather("triangle_count", phase="triangle_count")
             raw_counts = np.array([int(a[0]) for a in raw_arrays], dtype=np.int64)
-            if prep.dpu_of_triplet is not None:
-                # Gathers are physical-core ordered; the correction math wants
-                # triplet order (scales, mono mask are triplet-indexed).
-                raw_counts = raw_counts[prep.dpu_of_triplet]
             scales = prep.reservoir_scales()
             mono = partitioner.mono_mask()
             with self.telemetry.span("correction", clock=clock):
@@ -648,7 +600,6 @@ class PimTcPipeline:
             "ingest_batches": prep.ingest_batches,
             "peak_routed_bytes": prep.peak_routed_bytes,
             "partitioner": prep.partitioner.strategy,
-            "rebalances": list(prep.rebalances),
         }
         decision = self.autotune_decision
         if decision is not None:
@@ -675,9 +626,6 @@ class PimTcPipeline:
             # cost and emits the identical trace events per symbol.
             raw_arrays = dpus.gather("triangle_count", phase="triangle_count")
             raw_counts = np.array([int(a[0]) for a in raw_arrays], dtype=np.int64)
-            if prep.dpu_of_triplet is not None:
-                raw_counts = raw_counts[prep.dpu_of_triplet]
-                local_arrays = [local_arrays[int(c)] for c in prep.dpu_of_triplet]
             scales = prep.reservoir_scales()
             mono = partitioner.mono_mask()
 
@@ -718,66 +666,6 @@ class PimTcPipeline:
         )
 
     # ----------------------------------------------------------------- internals
-    def _maybe_rebalance(
-        self,
-        dpus: DpuSet,
-        clock: SimClock,
-        dpu_of_triplet: np.ndarray,
-        insert_secs: np.ndarray,
-        routed_counts: np.ndarray,
-        reservoirs: list[EdgeReservoir],
-        capacity: int,
-        edge_bytes: int,
-        batch_index: int,
-        rebalances: list[dict],
-    ) -> np.ndarray | None:
-        """Recompute the triplet->core map when accumulated skew warrants it.
-
-        Trigger: the coefficient of variation of accumulated per-core insert
-        seconds (the ledger's cv over the same metric it reports) exceeding
-        ``rebalance_cv``.  Remedy: greedily pair the heaviest-routed triplets
-        with the least-loaded cores.  Each triplet's partially built sample
-        migrates to its new core; the move is charged as a rank-padded
-        scatter of the resident bytes plus a trace event, so rebalanced runs
-        honestly pay for the shuffle.  Returns the new map, or None when the
-        trigger did not fire or the greedy map equals the current one.
-        """
-        from ..observability.imbalance import skew_stats
-
-        cv = skew_stats(insert_secs).cv
-        if cv <= self.active_options.rebalance_cv:
-            return None
-        num_dpus = dpu_of_triplet.size
-        ids = np.arange(num_dpus)
-        heavy_first = np.lexsort((ids, -routed_counts))
-        idle_first = np.lexsort((ids, insert_secs))
-        new_map = np.empty(num_dpus, dtype=np.int64)
-        new_map[heavy_first] = idle_first
-        moved = np.nonzero(new_map != dpu_of_triplet)[0]
-        if moved.size == 0:
-            return None
-        moved_bytes = np.zeros(num_dpus, dtype=np.int64)
-        for t in moved.tolist():
-            stored = min(int(reservoirs[t].seen), capacity)
-            moved_bytes[new_map[t]] += stored * edge_bytes
-        stats = dpus.transfer.scatter(moved_bytes)
-        clock.advance("sample_creation", stats.seconds)
-        dpus.trace.record(
-            "sample_creation", "scatter", stats.seconds, stats.payload_bytes,
-            f"rebalance after batch {batch_index}",
-        )
-        dpus.note_dpu_xfer(moved_bytes)
-        rebalances.append(
-            {
-                "after_batch": int(batch_index),
-                "cv": float(cv),
-                "moved_triplets": int(moved.size),
-                "moved_bytes": int(moved_bytes.sum()),
-                "seconds": float(stats.seconds),
-            }
-        )
-        return new_map
-
     def _harvest_imbalance(self, prep: "_PreparedRun"):
         """Collect the per-DPU work ledger after the count launch.
 
@@ -798,11 +686,9 @@ class PimTcPipeline:
             capacity=prep.capacity,
             insert_seconds=prep.insert_seconds,
             remap_nodes=prep.remap_nodes,
-            dpu_of_triplet=prep.dpu_of_triplet,
         )
         if ledger is not None:
             ledger.meta["partitioner"] = prep.partitioner.strategy
-            ledger.meta["rebalances"] = len(prep.rebalances)
         return ledger
 
     def _record_sample_metrics(

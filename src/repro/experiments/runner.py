@@ -33,23 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--tier", default="small", choices=("tiny", "small", "bench"))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--batch-edges",
-        type=int,
-        default=None,
-        metavar="B",
-        help="run every pipeline the experiments build with streaming ingest "
-             "in B-edge chunks (sets REPRO_BATCH_EDGES for this run); default: "
-             "one chunk",
-    )
-    parser.add_argument(
-        "--partitioner",
-        default=None,
-        choices=("hash", "degree", "auto"),
-        help="edge-partitioning strategy for every pipeline the experiments "
-             "build (sets REPRO_PARTITIONER for this run); default: hash "
-             "coloring as in the paper",
-    )
     parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
     parser.add_argument(
         "--markdown", action="store_true", help="emit a markdown report instead of text"
@@ -124,15 +107,6 @@ def main(argv: list[str] | None = None, telemetry=None) -> int:
     or ``--chrome-trace`` ask for exported telemetry.
     """
     args = _build_parser().parse_args(argv)
-    if args.batch_edges is not None or args.partitioner is not None:
-        # Same env-fallback channel PimTriangleCounter reads for the executor
-        # knobs: every counter the experiment modules construct picks it up.
-        import os
-
-        if args.batch_edges is not None:
-            os.environ["REPRO_BATCH_EDGES"] = str(args.batch_edges)
-        if args.partitioner is not None:
-            os.environ["REPRO_PARTITIONER"] = args.partitioner
     if args.experiment == "list":
         for exp in EXPERIMENTS.values():
             print(f"{exp.id:12s} {exp.paper_artifact:14s} {exp.description}")

@@ -228,7 +228,6 @@ def collect_ledger(
     capacity: int,
     insert_seconds: np.ndarray | None = None,
     remap_nodes: np.ndarray | None = None,
-    dpu_of_triplet: np.ndarray | None = None,
 ) -> ImbalanceLedger:
     """Harvest the per-DPU work ledger from a finished (not yet freed) run.
 
@@ -236,12 +235,8 @@ def collect_ledger(
     only uncharged state — MRAM symbols via ``count_read=False``, the
     per-launch and lifetime charge ledgers, and the DpuSet's transfer-byte
     ledger — so harvesting adds no simulated time, no trace events, and no
-    metric updates.
-
-    ``dpu_of_triplet`` (triplet -> physical core, from between-batch
-    rebalancing) keeps rows core-indexed: triplet labels and triplet-ordered
-    inputs (``edges_routed``, ``seen``) are scattered onto the cores that
-    actually hold them, so every row still describes one physical core.
+    metric updates.  Core ``d`` holds triplet ``d``, so the triplet-ordered
+    inputs (``edges_routed``, ``seen``) index the rows directly.
     """
     d = len(dpus.dpus)
     merge_steps = np.zeros(d, dtype=np.int64)
@@ -275,27 +270,12 @@ def collect_ledger(
         else np.zeros(d, dtype=np.int64)
     )
     seen = np.asarray(seen, dtype=np.int64)
-    triplets = table.triplets.copy()
-    kinds = table.kind.copy()
-    routed = np.asarray(edges_routed, dtype=np.int64).copy()
-    stored = np.minimum(seen, int(capacity))
-    if dpu_of_triplet is not None:
-        perm = np.asarray(dpu_of_triplet, dtype=np.int64)
-        triplets = np.empty_like(triplets)
-        triplets[perm] = table.triplets
-        kinds = np.empty_like(kinds)
-        kinds[perm] = table.kind
-        routed = np.zeros(d, dtype=np.int64)
-        routed[perm] = np.asarray(edges_routed, dtype=np.int64)
-        stored_in = stored
-        stored = np.zeros(d, dtype=np.int64)
-        stored[perm] = stored_in
     return ImbalanceLedger(
         num_colors=table.num_colors,
-        triplets=triplets,
-        kinds=kinds,
-        edges_routed=routed,
-        edges_stored=stored,
+        triplets=table.triplets.copy(),
+        kinds=table.kind.copy(),
+        edges_routed=np.asarray(edges_routed, dtype=np.int64).copy(),
+        edges_stored=np.minimum(seen, int(capacity)),
         merge_steps=merge_steps,
         instructions=instructions,
         mram_bytes=mram_bytes,

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 
 from ..common.errors import ConfigurationError, GraphFormatError
+from ..common.validation import check_positive
 from ..observability.promtext import SERVICE_METRICS_SCHEMA, write_snapshot
 from ..telemetry.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -55,6 +56,9 @@ from .session import GraphSession, SessionError
 __all__ = ["ServiceConfig", "TriangleService", "main"]
 
 _SESSION_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}\Z")
+
+#: Node IDs travel as JSON integers and must fit the int64 edge arrays.
+_NODE_LIMIT = 2**63
 
 
 @dataclass
@@ -286,7 +290,27 @@ class TriangleService:
                 "invalid_request",
                 f"src ({len(src)}) and dst ({len(dst)}) lengths differ",
             )
+        # Exact ints only: bools and integral floats would otherwise be read
+        # as node IDs, and IDs past int64 would fail inside numpy.
+        for nodes in (src, dst):
+            for x in nodes:
+                if type(x) is not int or not 0 <= x < _NODE_LIMIT:
+                    raise SessionError(
+                        "invalid_request",
+                        f"node IDs must be integers in [0, 2**63), got {x!r}",
+                    )
         return src, dst
+
+    @staticmethod
+    def _int_field(
+        request: dict, key: str, default, *, strict: bool = True,
+        nullable: bool = False,
+    ) -> int | None:
+        """One integer ``open`` field; ``nullable`` lets ``None`` through."""
+        value = request.get(key, default)
+        if value is None and nullable:
+            return None
+        return check_positive(key, value, strict=strict)
 
     # --------------------------------------------------------------------- ops
     async def _op_ping(self, request: dict) -> dict:
@@ -307,10 +331,12 @@ class TriangleService:
                 "admission_rejected",
                 f"server is at its {self.config.max_sessions}-session limit",
             )
-        num_nodes = request.get("num_nodes")
-        if not isinstance(num_nodes, int) or num_nodes < 1:
-            raise SessionError("invalid_request", "open needs integer num_nodes >= 1")
-        budget = request.get("memory_budget_bytes", self.config.memory_budget_bytes)
+        field = self._int_field
+        num_nodes = field(request, "num_nodes", None)
+        budget = field(
+            request, "memory_budget_bytes", self.config.memory_budget_bytes,
+            strict=False, nullable=True,
+        )
         event_log = (
             os.path.join(self.config.event_dir, f"{name}.ndjson")
             if self.config.event_dir
@@ -319,14 +345,14 @@ class TriangleService:
         session = GraphSession(
             name,
             num_nodes,
-            num_colors=int(request.get("num_colors", 4)),
-            seed=int(request.get("seed", 0)),
-            misra_gries_k=int(request.get("misra_gries_k", 0)),
-            misra_gries_t=int(request.get("misra_gries_t", 0)),
-            batch_edges=request.get("batch_edges"),
+            num_colors=field(request, "num_colors", 4),
+            seed=field(request, "seed", 0, strict=False),
+            misra_gries_k=field(request, "misra_gries_k", 0, strict=False),
+            misra_gries_t=field(request, "misra_gries_t", 0, strict=False),
+            batch_edges=field(request, "batch_edges", None, nullable=True),
             memory_budget_bytes=budget,
-            max_queue_depth=int(
-                request.get("max_queue_depth", self.config.max_queue_depth)
+            max_queue_depth=field(
+                request, "max_queue_depth", self.config.max_queue_depth
             ),
             event_log=event_log,
             observability=self.config.observability,

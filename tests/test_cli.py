@@ -80,13 +80,6 @@ class TestDatasetSpecs:
         out = capsys.readouterr().out
         assert "auto-tune: strategy=" in out
 
-    def test_rebalance_flag_prints_events(self, capsys):
-        assert main(
-            ["dataset:wikipedia", "--tier", "tiny", "--colors", "4",
-             "--batch-edges", "500", "--rebalance-cv", "0.0"]
-        ) == 0
-        assert "rebalances:" in capsys.readouterr().out
-
 
 class TestTelemetryFlags:
     def test_metrics_out_writes_valid_run_report(self, tmp_path, capsys):

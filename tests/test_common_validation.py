@@ -45,6 +45,11 @@ class TestCheckPositive:
         with pytest.raises(ConfigurationError):
             check_positive("x", 1.5)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_rejects_bool(self, value):
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            check_positive("x", value, strict=False)
+
 
 class TestCheckProbability:
     def test_accepts_one(self):
@@ -85,6 +90,10 @@ class TestCheckIntArray:
     def test_rejects_wrong_rank(self):
         with pytest.raises(ConfigurationError):
             check_int_array("a", np.zeros((2, 2)))
+
+    def test_rejects_bool(self):
+        with pytest.raises(ConfigurationError, match="must contain integers"):
+            check_int_array("a", np.array([True, False]))
 
     def test_rank_override(self):
         out = check_int_array("a", np.zeros((2, 2), dtype=np.int64), ndim=2)

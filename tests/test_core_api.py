@@ -4,10 +4,24 @@ from __future__ import annotations
 
 import pytest
 
+import numpy as np
+
 from repro import PimTriangleCounter
+from repro.core.host import PimTcOptions
 from repro.graph.triangles import count_triangles
 from repro.pimsim.config import PimSystemConfig
 from repro.telemetry import Telemetry
+
+#: Environment variables that earlier versions of the counter read, each with
+#: a value that used to change its options, system or simulated numbers.
+FORMER_ENV_KNOBS = {
+    "REPRO_BATCH_EDGES": "64",
+    "REPRO_PARTITIONER": "degree",
+    "REPRO_REBALANCE_CV": "0",
+    "REPRO_KERNEL": "probe",
+    "REPRO_EXECUTOR": "thread",
+    "REPRO_JOBS": "3",
+}
 
 
 class TestConstruction:
@@ -56,3 +70,21 @@ class TestCounting:
 
     def test_num_dpus_tracks_colors(self):
         assert PimTriangleCounter(num_colors=23).num_dpus == 2300
+
+
+class TestNoEnvironment:
+    """Every option of a count is set at its call site, none by the shell."""
+
+    @pytest.mark.parametrize("name", sorted(FORMER_ENV_KNOBS))
+    def test_environment_changes_nothing(self, small_graph, monkeypatch, name):
+        for var in FORMER_ENV_KNOBS:
+            monkeypatch.delenv(var, raising=False)
+        plain = PimTriangleCounter(num_colors=3, seed=1).count(small_graph)
+        monkeypatch.setenv(name, FORMER_ENV_KNOBS[name])
+        counter = PimTriangleCounter(num_colors=3, seed=1)
+        assert counter.options == PimTcOptions(num_colors=3, seed=1)
+        assert counter.system.config == PimSystemConfig()
+        result = counter.count(small_graph)
+        assert result.clock.phases == plain.clock.phases
+        np.testing.assert_array_equal(result.per_dpu_counts, plain.per_dpu_counts)
+        assert result.meta == plain.meta

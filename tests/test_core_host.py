@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.host import PimTcOptions, PimTcPipeline
+from repro.graph.coo import COOGraph
 from repro.graph.datasets import get_dataset
 from repro.graph.generators import erdos_renyi
 from repro.graph.triangles import count_triangles
@@ -45,6 +46,25 @@ class TestOptionsValidation:
         g = erdos_renyi(20, 40, np.random.default_rng(0)).canonicalize()
         with pytest.raises(ConfigurationError):
             run_pipeline(g, num_colors=2, reservoir_capacity=0)
+
+    @pytest.mark.parametrize("capacity", [0, 1, 2])
+    def test_rejects_reservoir_below_three(self, capacity):
+        # A sample of two edges holds no triangle: every core that overflows
+        # it counts 0, so the estimate of any graph would read 0.
+        with pytest.raises(ConfigurationError, match="reservoir_capacity"):
+            PimTcOptions(reservoir_capacity=capacity)
+
+    def test_three_edge_reservoir_estimates_k4(self):
+        k4 = COOGraph.from_edges([(u, v) for u in range(4) for v in range(u + 1, 4)])
+        estimates = np.array([
+            run_pipeline(k4, num_colors=1, reservoir_capacity=3, seed=s).estimate
+            for s in range(200)
+        ])
+        # Three of six edges close a triangle with probability 4/20, and the
+        # reservoir scale is 20: the estimate is 0 or 20, unbiased for 4
+        # (standard error 0.57 over 200 seeds).
+        assert set(estimates.tolist()) == {0.0, 20.0}
+        assert 2.0 < estimates.mean() < 8.0
 
 
 class TestExactCounting:

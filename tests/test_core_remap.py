@@ -31,6 +31,12 @@ class TestRemapTable:
         with pytest.raises(ValueError):
             RemapTable(nodes=np.array([1, 1]), num_nodes=4)
 
+    def test_rejects_bool_nodes(self):
+        from repro.common.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="nodes must contain integers"):
+            RemapTable(nodes=np.array([True, False]), num_nodes=4)
+
     def test_nbytes(self):
         assert RemapTable(nodes=np.array([1, 2, 3]), num_nodes=4).nbytes() == 24
 

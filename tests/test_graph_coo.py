@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.common.errors import GraphFormatError
+from repro.common.errors import ConfigurationError, GraphFormatError
 from repro.graph.coo import COOGraph
 
 from conftest import edge_list_strategy
@@ -38,6 +38,12 @@ class TestConstruction:
     def test_rejects_out_of_range_ids(self):
         with pytest.raises(GraphFormatError):
             COOGraph.from_edges([(0, 5)], num_nodes=3)
+
+    def test_rejects_bool_arrays(self):
+        # np.mod of a bool array is 0: the integral-float check alone would
+        # read these as nodes 1 and 0.
+        with pytest.raises(ConfigurationError, match="src must contain integers"):
+            COOGraph(np.array([True, False]), np.array([False, True]), num_nodes=2)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(GraphFormatError):

@@ -1,4 +1,4 @@
-"""Strategy selection end-to-end: exactness, skew, rebalancing, wiring.
+"""Strategy selection end-to-end: exactness, skew, engine parity, wiring.
 
 The pluggable balancing layer must never change the answer — any
 partition-coloring is exact under the monochromatic correction — while the
@@ -93,77 +93,37 @@ class TestSkewReduction:
 
 
 class TestRebalancing:
-    """Between-batch triplet->core reassignment: same answer, events logged."""
+    """Chunked degree-partitioned ingest on every engine.
 
-    def test_forced_rebalance_keeps_counts(self, hub_tiny):
-        truth = count_triangles(hub_tiny)
-        plain = PimTriangleCounter(
-            num_colors=4, seed=0, batch_edges=500
-        ).count(hub_tiny)
-        moved = PimTriangleCounter(
-            num_colors=4, seed=0, batch_edges=500, rebalance_cv=0.0
-        ).count(hub_tiny)
-        assert plain.count == moved.count == truth
-        np.testing.assert_array_equal(plain.per_dpu_counts, moved.per_dpu_counts)
-        events = moved.meta["rebalances"]
-        assert len(events) >= 1
-        for e in events:
-            assert e["moved_triplets"] > 0
-            assert e["moved_bytes"] > 0
-            assert e["cv"] >= 0.0
-        assert moved.imbalance.meta["rebalances"] == len(events)
+    Triplet ``t`` stays on core ``t`` for the whole run; the process engine
+    splices the DPUs each chunk returns into the set's own list.  Every
+    engine must reproduce the serial run's count, clock and ledger.
+    """
 
-    def test_disabled_by_default(self, hub_tiny):
-        result = PimTriangleCounter(
-            num_colors=4, seed=0, batch_edges=500
+    @pytest.fixture(scope="class")
+    def serial_run(self, hub_tiny):
+        return PimTriangleCounter(
+            num_colors=4, seed=0, batch_edges=400, partitioner="degree",
         ).count(hub_tiny)
-        assert result.meta["rebalances"] == []
-
-    def test_high_threshold_never_fires(self, hub_tiny):
-        plain = PimTriangleCounter(
-            num_colors=4, seed=0, batch_edges=500
-        ).count(hub_tiny)
-        gated = PimTriangleCounter(
-            num_colors=4, seed=0, batch_edges=500, rebalance_cv=1e9
-        ).count(hub_tiny)
-        assert gated.meta["rebalances"] == []
-        assert gated.clock.phases == plain.clock.phases
 
     @pytest.mark.parametrize("engine", ["serial", "thread", "process"])
-    def test_engine_invariant_under_rebalance(self, hub_tiny, engine):
+    def test_engine_invariant_under_rebalance(self, hub_tiny, serial_run, engine):
         result = PimTriangleCounter(
-            num_colors=4, seed=0, batch_edges=400, rebalance_cv=0.0,
+            num_colors=4, seed=0, batch_edges=400,
             partitioner="degree", executor=engine, jobs=2,
         ).count(hub_tiny)
         assert result.count == count_triangles(hub_tiny)
-
-    def test_rebalance_migration_is_charged(self, hub_tiny):
-        moved = PimTriangleCounter(
-            num_colors=4, seed=0, batch_edges=500, rebalance_cv=0.0
-        ).count(hub_tiny)
-        plain = PimTriangleCounter(
-            num_colors=4, seed=0, batch_edges=500
-        ).count(hub_tiny)
-        # migration scatters resident samples: simulated ingest time goes up
-        assert moved.sample_creation_seconds > plain.sample_creation_seconds
+        assert result.meta["ingest_batches"] > 1
+        assert result.clock.phases == serial_run.clock.phases
+        np.testing.assert_array_equal(
+            result.per_dpu_counts, serial_run.per_dpu_counts
+        )
+        np.testing.assert_array_equal(
+            result.imbalance.insert_seconds, serial_run.imbalance.insert_seconds
+        )
 
 
 class TestEnvWiring:
-    def test_env_var_selects_strategy(self, hub_tiny, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONER", "degree")
-        counter = PimTriangleCounter(num_colors=4, seed=0)
-        assert counter.options.partitioner == "degree"
-
-    def test_env_var_sets_rebalance_cv(self, monkeypatch):
-        monkeypatch.setenv("REPRO_REBALANCE_CV", "0.25")
-        counter = PimTriangleCounter(num_colors=4, seed=0)
-        assert counter.options.rebalance_cv == 0.25
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARTITIONER", "degree")
-        counter = PimTriangleCounter(num_colors=4, seed=0, partitioner="hash")
-        assert counter.options.partitioner == "hash"
-
     def test_invalid_strategy_rejected(self):
         from repro.common.errors import ConfigurationError
 

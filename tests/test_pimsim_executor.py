@@ -137,19 +137,6 @@ def test_process_executor_jobs1_degrades_gracefully(seeded_graph):
         executor.close()
 
 
-def test_env_var_selects_executor(monkeypatch):
-    """REPRO_EXECUTOR / REPRO_JOBS flip every counter the harness builds."""
-    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-    monkeypatch.setenv("REPRO_JOBS", "3")
-    counter = PimTriangleCounter(num_colors=3)
-    assert counter.system.config.executor == "thread"
-    assert counter.system.config.jobs == 3
-    # explicit arguments still win over the environment
-    counter = PimTriangleCounter(num_colors=3, executor="serial", jobs=1)
-    assert counter.system.config.executor == "serial"
-    assert counter.system.config.jobs == 1
-
-
 def test_executor_map_results_in_dpu_order():
     """Results are merged by DPU index whatever the scheduling order."""
     from repro.pimsim.config import CostModel, DpuConfig

@@ -361,6 +361,49 @@ class TestProtocol:
                 assert "PIM cores" in str(err.value)
                 assert client.ping()["sessions"] == 0
 
+    #: ``open`` fields that were once truncated or accepted as given.
+    ILL_TYPED_OPEN_FIELDS = [
+        dict(num_nodes=5, num_colors=2.7),
+        dict(num_nodes=True),
+        dict(num_nodes=5.0),
+        dict(num_nodes=5, batch_edges=True),
+        dict(num_nodes=5, max_queue_depth=0),
+        dict(num_nodes=5, misra_gries_k=-4, misra_gries_t=-1),
+        dict(num_nodes=5, seed=-1),
+    ]
+
+    #: Edge lists whose nodes are not exact in-range ints.
+    ILL_TYPED_EDGES = [
+        ([0, 1, 1.5], [1, 2, 0]),
+        ([0, 1, 2.0], [1, 2, 0]),
+        ([True], [2]),
+        ([2**70], [1]),
+        ([0], [-1]),
+        (["1"], [2]),
+    ]
+
+    def test_open_refuses_ill_typed_fields(self):
+        with running_service() as server:
+            with ServiceClient(server.url) as client:
+                for i, fields in enumerate(self.ILL_TYPED_OPEN_FIELDS):
+                    with pytest.raises(ServiceError) as err:
+                        client.request("open", session=f"typed{i}", **fields)
+                    assert err.value.code == "invalid_request", fields
+                    assert client.ping()["sessions"] == 0
+
+    def test_insert_refuses_ill_typed_nodes(self):
+        with running_service() as server:
+            with ServiceClient(server.url) as client:
+                client.open_session("nodes", num_nodes=5)
+                for op in ("insert", "delete"):
+                    for src, dst in self.ILL_TYPED_EDGES:
+                        with pytest.raises(ServiceError) as err:
+                            client.request(op, session="nodes", src=src, dst=dst)
+                        assert err.value.code == "invalid_request", (op, src, dst)
+                        assert client.ping()["sessions"] == 1
+                view = client.count("nodes")
+                assert view["cumulative_edges"] == 0
+
     def test_oversized_frame_is_rejected(self):
         with pytest.raises(ProtocolError):
             encode_frame({"blob": "x" * (MAX_FRAME_BYTES + 1)})
