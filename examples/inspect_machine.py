@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Looking inside the simulated machine: trace timeline + energy ledger.
+"""Looking inside the simulated machine: span timeline + energy ledger.
 
-Every run records an operation-level trace (allocation, kernel load,
-transfers, launches) and per-DPU instruction/DMA ledgers.  This example
-prints a run's timeline the way a profiler would, then compares the energy
-ledger of two color configurations.
+Every run records a span per host-visible operation (allocation, kernel
+load, ingest batches, transfers, launches) and per-DPU instruction/DMA
+ledgers.  This example prints a run's spans on the simulated clock the way
+a profiler would, then compares the energy ledger of three color
+configurations.
 
 Run:  python examples/inspect_machine.py
 """
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 from repro import PimTriangleCounter
 from repro.graph import get_dataset
-from repro.pimsim import EnergyModel, render_timeline
+from repro.pimsim import EnergyModel
+from repro.telemetry import render_timeline
 
 
 def main() -> None:
@@ -23,7 +25,7 @@ def main() -> None:
     print(f"{graph.name}: T = {result.count}\n")
 
     print("operation timeline (simulated time):")
-    print(render_timeline(result.trace))
+    print(render_timeline(result.telemetry))
 
     print("\nDPU-side aggregate work:")
     k = result.kernel

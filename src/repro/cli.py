@@ -420,7 +420,7 @@ def _emit_telemetry(args, graph, result, logger=None) -> None:
             total = history.num_runs()
         print(f"run appended to history {args.history} ({total} runs on record)")
     if args.chrome_trace:
-        write_chrome_trace(args.chrome_trace, tel, result.trace)
+        write_chrome_trace(args.chrome_trace, tel)
         print(f"chrome trace written to {args.chrome_trace} "
               "(open in chrome://tracing or ui.perfetto.dev)")
     if args.flamegraph:

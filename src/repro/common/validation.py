@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from typing import Any
 
 import numpy as np
@@ -33,11 +34,14 @@ def check_positive(name: str, value: Any, *, strict: bool = True) -> int:
 
 
 def check_probability(name: str, value: Any, *, allow_zero: bool = False) -> float:
-    """Validate that ``value`` is a probability in ``(0, 1]`` (or ``[0, 1]``)."""
-    try:
-        value = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be a float, got {value!r}") from exc
+    """Validate that ``value`` is a probability in ``(0, 1]`` (or ``[0, 1]``).
+
+    Only real numbers are accepted: booleans (``True`` is a number to Python,
+    not a probability) and numeric strings are refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a float, got {type(value).__name__}")
+    value = float(value)
     lo_ok = value >= 0.0 if allow_zero else value > 0.0
     if not (lo_ok and value <= 1.0):
         bound = "[0, 1]" if allow_zero else "(0, 1]"

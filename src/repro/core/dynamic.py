@@ -305,7 +305,7 @@ class DynamicPimCounter:
         if self._closed:
             return
         self._closed = True
-        self.dpus.free(phase="dynamic")
+        self.dpus.free()
         self._keys = [np.empty(0, dtype=np.int64) for _ in self._keys]
         self._regions[:] = 0
 

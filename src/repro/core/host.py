@@ -35,6 +35,7 @@ from ..coloring.partition import (
 )
 from ..common.errors import ConfigurationError, GraphFormatError
 from ..common.rng import RngFactory
+from ..common.validation import check_probability
 from ..graph.coo import COOGraph
 from ..pimsim.config import PimSystemConfig
 from ..pimsim.dpu import Dpu
@@ -191,8 +192,9 @@ class PimTcOptions:
             )
         if self.batch_edges is not None and self.batch_edges < 1:
             raise ConfigurationError("batch_edges must be >= 1 or None")
-        if not (0.0 < self.uniform_p <= 1.0):
-            raise ConfigurationError("uniform_p must be in (0, 1]")
+        object.__setattr__(
+            self, "uniform_p", check_probability("uniform_p", self.uniform_p)
+        )
         # A sample of fewer than three edges holds no triangle, so every core
         # that overflows it would count 0 and the estimate would read 0.
         if self.reservoir_capacity is not None and self.reservoir_capacity < 3:
@@ -404,16 +406,6 @@ class PimTcPipeline:
                     span.attrs["host_seconds"] = h_k
                     span.attrs["device_seconds"] = d_k
                     span.attrs["routed_bytes"] = xfer_bytes
-            dpus.trace.record(
-                "sample_creation", "scatter", xfer_seconds, xfer_bytes,
-                f"ingest batch {k}",
-            )
-            dpus.trace.record(
-                "sample_creation",
-                "launch",
-                cost.launch_latency + compute,
-                detail=f"reservoir insert batch {k}",
-            )
             # Live heartbeat for `repro-watch`: pure observation of values the
             # schedule already holds.  The ETA extrapolates the two-buffer
             # recurrence — remaining batches at the mean per-batch growth of
@@ -467,7 +459,7 @@ class PimTcPipeline:
                 core_bytes = part.counts * edge_bytes
                 stats = dpus.transfer.scatter(core_bytes)
                 xfer_seconds, xfer_bytes = stats.seconds, stats.payload_bytes
-                dpus.note_dpu_xfer(core_bytes)
+                dpus.note_transfer("scatter", xfer_bytes, core_bytes)
                 # Payloads are built only after the previous join so the
                 # process engine's returned reservoirs (fresh RNG state) are
                 # the ones offered the next chunk.  Triplet ``t`` lives on
@@ -492,11 +484,9 @@ class PimTcPipeline:
                 with tel.span("broadcast_remap", clock=clock):
                     stats = dpus.transfer.broadcast(remap_payload.nbytes(), len(dpus))
                     clock.advance("sample_creation", stats.seconds)
-                    dpus.trace.record(
-                        "sample_creation", "broadcast", stats.seconds,
-                        stats.payload_bytes, "remap_table",
+                    dpus.note_transfer(
+                        "broadcast", stats.payload_bytes, remap_payload.nbytes()
                     )
-                    dpus.note_dpu_xfer(remap_payload.nbytes())
                 for dpu in dpus.dpus:
                     dpu.mram.store(
                         "remap_table", remap_payload.nodes, count_write=False
@@ -585,7 +575,6 @@ class PimTcPipeline:
             kernel=kernel_aggregate,
             host_wall_seconds=time.perf_counter() - prep.wall_start,
             meta=self._run_meta(prep),
-            trace=dpus.trace,
             telemetry=self.telemetry,
             imbalance=imbalance,
         )
@@ -623,7 +612,7 @@ class PimTcPipeline:
             local_arrays = dpus.gather("local_counts", phase="triangle_count")
             # The scalar totals come back through the same gather path as the
             # global pipeline, so the local path pays the identical transfer
-            # cost and emits the identical trace events per symbol.
+            # cost and opens the identical gather span per symbol.
             raw_arrays = dpus.gather("triangle_count", phase="triangle_count")
             raw_counts = np.array([int(a[0]) for a in raw_arrays], dtype=np.int64)
             scales = prep.reservoir_scales()
@@ -659,7 +648,6 @@ class PimTcPipeline:
             kernel=kernel_aggregate,
             host_wall_seconds=time.perf_counter() - prep.wall_start,
             meta=self._run_meta(prep),
-            trace=dpus.trace,
             telemetry=self.telemetry,
             imbalance=imbalance,
             local_estimates=combined,
@@ -672,7 +660,7 @@ class PimTcPipeline:
         Runs between the counting launch and ``dpus.free()`` so the
         per-launch charge ledgers still hold the counting kernel's work.
         Pure observation: reads uncharged MRAM symbols and the lifetime
-        charge counters, touches neither the clock nor the trace — the
+        charge counters, touches neither the clock nor a span or metric — the
         differential parity grid pins that this call is invisible to every
         simulated number.
         """

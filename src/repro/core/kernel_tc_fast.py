@@ -192,7 +192,8 @@ def fast_count(
 
     # --- tasklet assignment: buffer blocks round-robin -----------------------
     buf = costs.edge_buffer_edges
-    tasklet_of_edge = (edge_ids // buf) % t
+    tasklet_of_block = np.arange((m + buf - 1) // buf, dtype=np.int64) % t
+    tasklet_of_edge = np.repeat(tasklet_of_block, buf)[:m]
     instr = np.bincount(tasklet_of_edge, weights=per_edge_instr, minlength=t)
     # Balanced charges: orient + sort + region build + triangle bookkeeping.
     balanced = (
@@ -206,12 +207,8 @@ def fast_count(
     # --- DMA traffic ----------------------------------------------------------
     eb = costs.edge_bytes
     # Edge-buffer streaming: one request per block.
-    edge_bytes_per_tasklet = np.bincount(
-        tasklet_of_edge, weights=np.full(m, float(eb)), minlength=t
-    )
-    blocks_per_tasklet = np.bincount(
-        np.arange((m + buf - 1) // buf, dtype=np.int64) % t, minlength=t
-    ).astype(np.float64)
+    edge_bytes_per_tasklet = np.bincount(tasklet_of_edge, minlength=t) * float(eb)
+    blocks_per_tasklet = np.bincount(tasklet_of_block, minlength=t).astype(np.float64)
     # v-region reads, buffered through the region WRAM buffer.
     v_bytes = d_v.astype(np.float64) * eb
     v_requests = np.where(d_v > 0, np.ceil(v_bytes / costs.region_buffer_bytes), 0.0)
@@ -266,9 +263,9 @@ class TriangleCountKernel:
         """Count hook handed to :func:`fast_count`; ``None`` = sparse matmul.
 
         Subclasses (``VecTriangleCountKernel``) override this to swap the
-        count arithmetic without touching charges, traces or MRAM layout —
-        they deliberately keep ``name`` as ``"triangle_count"`` so trace
-        events and span attributes stay bit-identical too.
+        count arithmetic without touching charges or MRAM layout — they
+        deliberately keep ``name`` as ``"triangle_count"`` so span attributes
+        stay bit-identical too.
         """
         return None
 

@@ -27,8 +27,8 @@ shared ``fast_count`` code path, simulated clocks, per-phase totals,
 ``kernel_stats`` and the imbalance ledger are bit-identical to the ``merge``
 variant *by construction* — the differential grid
 (:mod:`repro.testing.differential`) pins this.  The kernel keeps
-``name="triangle_count"`` on purpose: the trace recorder embeds the kernel
-name in load/launch events, and those must not move either.
+``name="triangle_count"`` on purpose: the ``load_kernel`` and ``launch`` spans
+carry the kernel name as an attribute, and those must not move either.
 """
 
 from __future__ import annotations

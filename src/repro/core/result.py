@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..pimsim.kernel import SimClock
-from ..pimsim.trace import Trace
 from ..telemetry.spans import Telemetry
 
 __all__ = ["TcResult", "LocalTcResult", "KernelAggregate"]
@@ -53,8 +52,6 @@ class TcResult:
     kernel: KernelAggregate | None = None
     host_wall_seconds: float = 0.0
     meta: dict = field(default_factory=dict)
-    #: Operation-level trace of the run (alloc/transfers/launches), if kept.
-    trace: Trace | None = None
     #: Telemetry recorder of the run (span tree + metrics), if kept.
     telemetry: Telemetry | None = None
     #: Per-DPU work ledger for straggler analysis, if harvested
@@ -144,16 +141,6 @@ class TcResult:
                     "max_dpu_compute_seconds": self.kernel.max_dpu_compute_seconds,
                 }
                 if self.kernel
-                else None
-            ),
-            "trace": (
-                {
-                    "events": len(self.trace),
-                    "counts_by_kind": self.trace.counts_by_kind(),
-                    "total_seconds": float(self.trace.total_seconds()),
-                    "total_bytes": int(self.trace.total_bytes()),
-                }
-                if self.trace is not None
                 else None
             ),
             "imbalance": (

@@ -29,10 +29,9 @@ whether the Misra-Gries remap (Sec. 3.5) actually flattened the skew:
   running server (metrics op + NDJSON stream tails).
 
 Collection is **observation only**: it reads uncharged simulator state and
-never touches the :class:`~repro.pimsim.kernel.SimClock`, the
-:class:`~repro.pimsim.trace.Trace`, or any non-volatile metric, so every
-simulated number stays bit-identical with or without it (pinned by the
-differential parity grid).
+never touches the :class:`~repro.pimsim.kernel.SimClock`, a span, or any
+non-volatile metric, so every simulated number stays bit-identical with or
+without it (pinned by the differential parity grid).
 """
 
 from .imbalance import (

@@ -18,9 +18,9 @@ turns the quantities the simulator already tracks into that diagnosis:
 
 **Observation only.**  :func:`collect_ledger` reads DPU state through
 uncharged paths (``mram.load(count_read=False)``, the lifetime charge
-ledgers) and never touches the :class:`~repro.pimsim.kernel.SimClock` or the
-:class:`~repro.pimsim.trace.Trace` — collection is invisible to every
-simulated number, which the differential parity tests pin.
+ledgers) and never touches the :class:`~repro.pimsim.kernel.SimClock`, a
+span or a metric — collection is invisible to every simulated number, which
+the differential parity tests pin.
 """
 
 from __future__ import annotations
@@ -208,15 +208,14 @@ class ImbalanceLedger:
 def _heaviest_node(src: np.ndarray, dst: np.ndarray) -> tuple[int, int]:
     """Most frequent endpoint of one core's stored sample (node, multiplicity).
 
-    Ties break toward the smallest node ID (``np.unique`` returns sorted
-    nodes and ``argmax`` takes the first maximum), keeping the ledger
-    deterministic.
+    Ties break toward the smallest node ID (``argmax`` takes the first
+    maximum), keeping the ledger deterministic.
     """
     if src.size == 0:
         return -1, 0
-    nodes, counts = np.unique(np.concatenate([src, dst]), return_counts=True)
+    counts = np.bincount(np.concatenate([src, dst]))
     best = int(np.argmax(counts))
-    return int(nodes[best]), int(counts[best])
+    return best, int(counts[best])
 
 
 def collect_ledger(
@@ -234,8 +233,8 @@ def collect_ledger(
     Must run after the counting launch and before ``dpus.free()``.  Reads
     only uncharged state — MRAM symbols via ``count_read=False``, the
     per-launch and lifetime charge ledgers, and the DpuSet's transfer-byte
-    ledger — so harvesting adds no simulated time, no trace events, and no
-    metric updates.  Core ``d`` holds triplet ``d``, so the triplet-ordered
+    ledger — so harvesting adds no simulated time, no spans, and no metric
+    updates.  Core ``d`` holds triplet ``d``, so the triplet-ordered
     inputs (``edges_routed``, ``seen``) index the rows directly.
     """
     d = len(dpus.dpus)

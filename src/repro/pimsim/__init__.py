@@ -24,7 +24,6 @@ from .executor import (
 from .kernel import Kernel, SimClock
 from .mram import Mram
 from .system import DpuSet, PimSystem
-from .trace import Trace, TraceEvent, render_timeline
 from .transfer import TransferModel, TransferStats
 from .wram import Wram, WramPlan
 
@@ -48,9 +47,6 @@ __all__ = [
     "ProcessExecutor",
     "make_executor",
     "EXECUTOR_NAMES",
-    "Trace",
-    "TraceEvent",
-    "render_timeline",
     "DpuSet",
     "TransferModel",
     "TransferStats",

@@ -10,9 +10,10 @@ This module provides that choice behind one interface.
 only.  Simulated time is ``launch_latency + max`` over per-DPU compute
 seconds, every DPU's functional result and charge ledger depends only on its
 own MRAM contents, and results are always merged back in DPU-ID order — so
-triangle counts, per-phase simulated seconds, charge vectors, and trace
-events are bit-identical across all three engines.  The parity tests in
-``tests/test_pimsim_executor.py`` pin this contract.
+triangle counts, per-phase simulated seconds, charge vectors, the spans'
+simulated seconds and the metric snapshots are bit-identical across all
+three engines.  The parity tests in ``tests/test_pimsim_executor.py`` pin
+this contract.
 
 Engines:
 

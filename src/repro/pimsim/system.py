@@ -24,7 +24,6 @@ from .config import PimSystemConfig
 from .dpu import Dpu
 from .executor import Executor, SerialExecutor, make_executor
 from .kernel import Kernel, SimClock
-from .trace import Trace
 from .transfer import TransferModel
 
 __all__ = ["PimSystem", "DpuSet"]
@@ -73,10 +72,6 @@ class PimSystem:
                 Dpu(dpu_id=i, config=self.config.dpu, cost=self.config.cost)
                 for i in range(num_dpus)
             ]
-            trace = Trace()
-            trace.record(
-                "setup", "alloc", alloc_seconds, detail=f"{num_dpus} DPUs / {ranks} ranks"
-            )
             if span is not None:
                 span.attrs["dpus"] = num_dpus
                 span.attrs["ranks"] = ranks
@@ -86,7 +81,6 @@ class PimSystem:
             dpus=dpus,
             clock=clock,
             transfer=transfer,
-            trace=trace,
             executor=executor,
             telemetry=telemetry,
         )
@@ -100,7 +94,6 @@ class DpuSet:
     dpus: list[Dpu]
     clock: SimClock
     transfer: TransferModel
-    trace: Trace = field(default_factory=Trace)
     kernel: Kernel | None = None
     executor: Executor = field(default_factory=SerialExecutor)
     telemetry: Telemetry | None = None
@@ -111,19 +104,6 @@ class DpuSet:
 
     def __len__(self) -> int:
         return len(self.dpus)
-
-    def note_dpu_xfer(self, per_dpu_bytes: np.ndarray | int) -> None:
-        """Accumulate host<->core payload bytes into the per-DPU work ledger.
-
-        Accepts a per-DPU array or a scalar applied to every core (broadcast).
-        Called by both the :class:`DpuSet` transfer methods and the host
-        pipeline's cost-only scatter paths, so the ledger covers every payload
-        an imbalance analysis wants to attribute regardless of which path
-        moved it.
-        """
-        if self.dpu_xfer_bytes is None:
-            self.dpu_xfer_bytes = np.zeros(len(self.dpus), dtype=np.int64)
-        self.dpu_xfer_bytes += np.asarray(per_dpu_bytes, dtype=np.int64)
 
     def _check_alive(self) -> None:
         if self._freed:
@@ -136,7 +116,21 @@ class DpuSet:
             return nullcontext()
         return self.telemetry.span(name, clock=self.clock)
 
-    def _count_transfer(self, kind: str, payload_bytes: int) -> None:
+    def note_transfer(
+        self, kind: str, payload_bytes: int, per_dpu_bytes: np.ndarray | int
+    ) -> None:
+        """Book one host<->PIM transfer of ``payload_bytes``.
+
+        Adds ``per_dpu_bytes`` (a per-DPU array, or a scalar every core
+        receives) to the per-DPU work ledger and, when telemetry is on, to
+        the ``transfer.<kind>.bytes`` / ``.ops`` counters.  Every transfer
+        goes through here: :meth:`broadcast`, :meth:`scatter`,
+        :meth:`gather` and the host pipeline's cost-only ingest scatter and
+        remap broadcast.
+        """
+        if self.dpu_xfer_bytes is None:
+            self.dpu_xfer_bytes = np.zeros(len(self.dpus), dtype=np.int64)
+        self.dpu_xfer_bytes += np.asarray(per_dpu_bytes, dtype=np.int64)
         if self.telemetry is None or not self.telemetry.enabled:
             return
         metrics = self.telemetry.metrics
@@ -161,7 +155,6 @@ class DpuSet:
             ranks = self.transfer.ranks_used(len(self.dpus))
             load_seconds = ranks * self.system.config.cost.kernel_load_latency
             self.clock.advance(phase, load_seconds)
-            self.trace.record(phase, "load_kernel", load_seconds, detail=kernel.name)
             self.kernel = kernel
             if span is not None:
                 span.attrs["kernel"] = kernel.name
@@ -204,12 +197,6 @@ class DpuSet:
                 max(times) if times else 0.0
             )
             self.clock.advance(phase, launch_seconds)
-            self.trace.record(
-                phase,
-                "launch",
-                launch_seconds,
-                detail=f"{self.kernel.name} on {len(self.dpus)} DPUs",
-            )
             if span is not None:
                 span.attrs["kernel"] = self.kernel.name
                 span.attrs["dpus"] = len(self.dpus)
@@ -228,9 +215,7 @@ class DpuSet:
         with self._span("broadcast"):
             stats = self.transfer.broadcast(int(array.nbytes), len(self.dpus))
             self.clock.advance(phase, stats.seconds)
-            self.trace.record(phase, "broadcast", stats.seconds, stats.payload_bytes, symbol)
-            self._count_transfer("broadcast", stats.payload_bytes)
-            self.note_dpu_xfer(int(array.nbytes))
+            self.note_transfer("broadcast", stats.payload_bytes, int(array.nbytes))
             for dpu in self.dpus:
                 dpu.mram.store(symbol, array, count_write=False)
 
@@ -247,9 +232,7 @@ class DpuSet:
             sizes = np.array([a.nbytes for a in arrays], dtype=np.int64)
             stats = self.transfer.scatter(sizes)
             self.clock.advance(phase, stats.seconds)
-            self.trace.record(phase, "scatter", stats.seconds, stats.payload_bytes, symbol)
-            self._count_transfer("scatter", stats.payload_bytes)
-            self.note_dpu_xfer(sizes)
+            self.note_transfer("scatter", stats.payload_bytes, sizes)
             for dpu, arr in zip(self.dpus, arrays):
                 dpu.mram.store(symbol, arr, count_write=False)
 
@@ -261,19 +244,17 @@ class DpuSet:
             sizes = np.array([a.nbytes for a in arrays], dtype=np.int64)
             stats = self.transfer.gather(sizes)
             self.clock.advance(phase, stats.seconds)
-            self.trace.record(phase, "gather", stats.seconds, stats.payload_bytes, symbol)
-            self._count_transfer("gather", stats.payload_bytes)
-            self.note_dpu_xfer(sizes)
+            self.note_transfer("gather", stats.payload_bytes, sizes)
             if span is not None:
                 span.attrs["symbol"] = symbol
+                span.attrs["bytes"] = stats.payload_bytes
         return arrays
 
     # ------------------------------------------------------------------ free
-    def free(self, phase: str = "triangle_count") -> None:
+    def free(self) -> None:
         """Release the DPUs (the paper folds this into the counting phase)."""
         self._check_alive()
         for dpu in self.dpus:
             dpu.mram.free_all()
         self.executor.close()
-        self.trace.record(phase, "free", 0.0, detail=f"{len(self.dpus)} DPUs")
         self._freed = True

@@ -86,6 +86,11 @@ class ServiceConfig:
     metrics_out: str | None = None
     metrics_interval: float | None = None
 
+    def __post_init__(self) -> None:
+        # A limit of 0 or below would refuse every ``open``.
+        check_positive("max_sessions", self.max_sessions)
+        check_positive("max_queue_depth", self.max_queue_depth)
+
 
 class TriangleService:
     """Session registry + asyncio TCP front end."""
@@ -533,26 +538,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(args) -> int:
-    service = TriangleService(
-        ServiceConfig(
-            host=args.host,
-            port=args.port,
-            max_sessions=args.max_sessions,
-            max_queue_depth=args.queue_depth,
-            memory_budget_bytes=args.memory_budget,
-            idle_timeout=args.idle_timeout,
-            event_dir=args.event_dir,
-            observability=not args.no_observability,
-            metrics_out=args.metrics_out,
-            metrics_interval=args.metrics_interval,
-        )
-    )
+async def _serve(config: ServiceConfig, ready_file: str | None) -> int:
+    service = TriangleService(config)
     await service.start()
-    print(f"repro-serve listening on {args.host}:{service.port}", flush=True)
-    if args.ready_file:
-        with open(args.ready_file, "w") as fh:
-            fh.write(f"{args.host}:{service.port}\n")
+    print(f"repro-serve listening on {config.host}:{service.port}", flush=True)
+    if ready_file:
+        with open(ready_file, "w") as fh:
+            fh.write(f"{config.host}:{service.port}\n")
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
@@ -567,9 +559,25 @@ async def _serve(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        return asyncio.run(_serve(args))
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            max_sessions=args.max_sessions,
+            max_queue_depth=args.queue_depth,
+            memory_budget_bytes=args.memory_budget,
+            idle_timeout=args.idle_timeout,
+            event_dir=args.event_dir,
+            observability=not args.no_observability,
+            metrics_out=args.metrics_out,
+            metrics_interval=args.metrics_interval,
+        )
+    except ConfigurationError as exc:
+        parser.error(str(exc))
+    try:
+        return asyncio.run(_serve(config, args.ready_file))
     except KeyboardInterrupt:
         return 0
 

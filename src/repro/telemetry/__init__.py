@@ -10,8 +10,8 @@ Three modules, one recorder object:
   fixed-bucket histograms whose default snapshot is bit-identical across
   executors;
 * :mod:`repro.telemetry.export` — JSON :class:`RunReport` (+ schema
-  validator), metrics CSV, Chrome-trace/Perfetto emission, and the
-  ``--profile`` self-time table.
+  validator), metrics CSV, Chrome-trace/Perfetto emission, the
+  ``--profile`` self-time table and the simulated-time timeline.
 
 Usage::
 
@@ -33,6 +33,7 @@ from .export import (
     chrome_trace,
     metrics_to_csv,
     render_profile,
+    render_timeline,
     validate_run_report,
     write_chrome_trace,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "write_chrome_trace",
     "metrics_to_csv",
     "render_profile",
+    "render_timeline",
     "validate_run_report",
     "collapsed_stacks",
     "flamegraph_svg",

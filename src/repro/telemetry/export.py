@@ -1,6 +1,6 @@
-"""Exporters: run reports (JSON), metrics CSV, Chrome-trace, profile table.
+"""Exporters: run reports (JSON), metrics CSV, Chrome-trace, text views.
 
-Three consumers, three formats:
+Four consumers, four formats:
 
 * **RunReport** — the machine-readable record of one run: the
   :meth:`TcResult.to_dict` summary, the span tree, and both metric
@@ -9,12 +9,13 @@ Three consumers, three formats:
   :func:`validate_run_report` is the (dependency-free) schema check CI runs
   on the CLI's ``--metrics-out`` output.
 * **Chrome trace** — a ``chrome://tracing`` / Perfetto ``traceEvents`` file
-  with two process tracks: the wall-clock span tree (track "host wall") and
-  the simulated operation timeline reconstructed from the
-  :class:`~repro.pimsim.trace.Trace` ledger (track "simulated PIM"), so the
-  two clocks of `docs/architecture.md` §3 can be eyeballed side by side.
+  with two process tracks: the span tree on the wall-clock axis (track "host
+  wall clock") and the same tree on the simulated axis (track "simulated PIM
+  timeline"), so the two clocks of `docs/architecture.md` §3 can be eyeballed
+  side by side.
 * **Profile table** — ``repro-count --profile``'s sorted self-time view of
   the span tree, one line per distinct span path.
+* **Timeline** — the span tree as a simulated-time log, one line per span.
 """
 
 from __future__ import annotations
@@ -23,12 +24,10 @@ import io
 import json
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any, Iterator
 
+from ..common.units import fmt_time
 from .spans import Span, Telemetry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pimsim uses us)
-    from ..pimsim.trace import Trace
 
 __all__ = [
     "RUN_REPORT_SCHEMA",
@@ -38,6 +37,7 @@ __all__ = [
     "write_chrome_trace",
     "metrics_to_csv",
     "render_profile",
+    "render_timeline",
     "validate_run_report",
 ]
 
@@ -245,53 +245,23 @@ def metrics_to_csv(snapshot: dict) -> str:
 _DPU_LANE_RE = re.compile(r"^dpu(\d+)$")
 
 
-def _dpu_lane_events(telemetry: Telemetry) -> list[dict]:
-    """One simulated-axis lane per DPU id from the per-DPU detail spans.
+def _sim_walk(telemetry: Telemetry) -> Iterator[tuple[Span, float]]:
+    """Every span in recording order, paired with its simulated start.
 
-    Reconstructs each span's simulated *start* by walking the tree in
-    recording order: ordinary children run sequentially from their parent's
-    start, while ``dpuN`` detail children all start together at their
-    parent's cursor (real DPUs run concurrently; the parent only charged the
-    slowest).  Each detail span becomes one slice on thread track
-    ``tid = dpu_id + 1`` of the "simulated PIM timeline" process, so a
-    straggler DPU reads as the one long bar in a wall of short ones.
+    Ordinary children run one after another from their parent's start;
+    ``dpuN`` detail children all start together at their parent's cursor
+    (real DPUs run concurrently; the parent only charged the slowest).
     """
-    events: list[dict] = []
-    seen_dpus: set[int] = set()
 
-    def walk(span: Span, start: float) -> None:
+    def walk(span: Span, start: float) -> Iterator[tuple[Span, float]]:
         cursor = start
         for child in span.children:
-            match = _DPU_LANE_RE.match(child.name)
-            if match is not None:
-                dpu_id = int(match.group(1))
-                seen_dpus.add(dpu_id)
-                events.append(
-                    {
-                        "name": f"{span.name}/{child.name}",
-                        "cat": "sim-dpu",
-                        "ph": "X",
-                        "ts": cursor * 1e6,
-                        "dur": child.sim_seconds * 1e6,
-                        "pid": 2,
-                        "tid": dpu_id + 1,
-                        "args": {"path": child.path, "sim_seconds": child.sim_seconds},
-                    }
-                )
-            else:
-                walk(child, cursor)
+            yield child, cursor
+            if _DPU_LANE_RE.match(child.name) is None:
+                yield from walk(child, cursor)
                 cursor += child.sim_seconds
 
-    cursor = 0.0
-    for top in telemetry.root.children:
-        walk(top, cursor)
-        cursor += top.sim_seconds
-    for dpu_id in sorted(seen_dpus):
-        events.append(
-            {"name": "thread_name", "ph": "M", "pid": 2, "tid": dpu_id + 1,
-             "args": {"name": f"dpu {dpu_id}"}}
-        )
-    return events
+    return walk(telemetry.root, 0.0)
 
 
 def _span_events(span: Span, depth: int, events: list[dict]) -> None:
@@ -315,16 +285,15 @@ def _span_events(span: Span, depth: int, events: list[dict]) -> None:
         _span_events(child, depth + 1, events)
 
 
-def chrome_trace(telemetry: Telemetry, trace: Trace | None = None) -> dict:
+def chrome_trace(telemetry: Telemetry) -> dict:
     """Build a Chrome/Perfetto ``traceEvents`` document.
 
     Track ``pid=1`` holds the wall-clock span tree, one ``tid`` per nesting
-    depth.  Track ``pid=2``, when a simulator :class:`Trace` is given, lays
-    the operation ledger out on the *simulated* axis (cumulative simulated
-    microseconds), which is the timeline the paper's numbers live on — on
-    ``tid=0`` as the flattened machine-wide ledger, plus (when per-DPU
-    detail spans were recorded) one thread lane per DPU id so stragglers
-    are visible as individual bars instead of being hidden in the max.
+    depth.  Track ``pid=2`` lays the same tree out on the *simulated* axis,
+    the timeline the paper's numbers live on: ``tid=0`` holds every span
+    but the per-DPU detail spans, which get one thread lane per DPU id
+    (``tid = dpu_id + 1``) so a straggler reads as the one long bar in a
+    wall of short ones instead of being hidden in the max.
     """
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": 1,
@@ -332,40 +301,61 @@ def chrome_trace(telemetry: Telemetry, trace: Trace | None = None) -> dict:
     ]
     for child in telemetry.root.children:
         _span_events(child, 0, events)
-    lanes = _dpu_lane_events(telemetry)
-    if trace is not None or lanes:
+    sim_events: list[dict] = []
+    seen_dpus: set[int] = set()
+    for span, start in _sim_walk(telemetry):
+        name, cat, tid = span.name, "sim", 0
+        match = _DPU_LANE_RE.match(span.name)
+        if match is not None:
+            dpu_id = int(match.group(1))
+            seen_dpus.add(dpu_id)
+            name, cat, tid = "/".join(span.path.split("/")[-2:]), "sim-dpu", dpu_id + 1
+        sim_events.append(
+            {
+                "name": name,
+                "cat": cat,
+                "ph": "X",
+                "ts": start * 1e6,
+                "dur": span.sim_seconds * 1e6,
+                "pid": 2,
+                "tid": tid,
+                "args": {"path": span.path, "sim_seconds": span.sim_seconds, **span.attrs},
+            }
+        )
+    if sim_events:
         events.append(
             {"name": "process_name", "ph": "M", "pid": 2,
              "args": {"name": "simulated PIM timeline"}}
         )
-    events.extend(lanes)
-    if trace is not None:
-        cursor = 0.0
-        for event in trace.events:
-            events.append(
-                {
-                    "name": event.kind,
-                    "cat": "sim",
-                    "ph": "X",
-                    "ts": cursor * 1e6,
-                    "dur": event.seconds * 1e6,
-                    "pid": 2,
-                    "tid": 0,
-                    "args": {
-                        "phase": event.phase,
-                        "payload_bytes": event.payload_bytes,
-                        "detail": event.detail,
-                    },
-                }
-            )
-            cursor += event.seconds
+    events.extend(sim_events)
+    for dpu_id in sorted(seen_dpus):
+        events.append(
+            {"name": "thread_name", "ph": "M", "pid": 2, "tid": dpu_id + 1,
+             "args": {"name": f"dpu {dpu_id}"}}
+        )
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path: str, telemetry: Telemetry, trace: Trace | None = None) -> None:
+def write_chrome_trace(path: str, telemetry: Telemetry) -> None:
     with open(path, "w") as fh:
-        json.dump(chrome_trace(telemetry, trace), fh)
+        json.dump(chrome_trace(telemetry), fh)
         fh.write("\n")
+
+
+def render_timeline(telemetry: Telemetry) -> str:
+    """The span tree as a simulated-time log, one line per span.
+
+    Lines follow recording order and give each span's simulated start,
+    simulated duration and path.  Per-DPU detail spans (``dpuN``) are left
+    out; :func:`chrome_trace` lays them out as lanes.
+    """
+    lines = [f"{'t (start)':>12}  {'dt':>12}  span"]
+    for span, start in _sim_walk(telemetry):
+        if _DPU_LANE_RE.match(span.name) is None:
+            lines.append(
+                f"{fmt_time(start):>12}  {fmt_time(span.sim_seconds):>12}  {span.path}"
+            )
+    return "\n".join(lines)
 
 
 # -------------------------------------------------------------------- profile
@@ -434,3 +424,4 @@ def render_profile(telemetry: Telemetry, imbalance: Any = None, top_k: int = 5) 
                 f"{share * 100:>6.1f}% {int(imbalance.heavy_nodes[d]):>11}  {remapped}"
             )
     return "\n".join(lines)
+

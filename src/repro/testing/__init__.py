@@ -8,7 +8,7 @@ package makes their correctness *cheap to trust* after any refactor:
 * :mod:`~repro.testing.metamorphic` — metamorphic relations (relabel /
   orientation / union / color-count / remap invariance) as checkable objects.
 * :mod:`~repro.testing.differential` — one graph through every kernel ×
-  executor × baseline, asserting bit-identical counts and trace parity.
+  executor × baseline, asserting bit-identical counts and span/metric parity.
 * :mod:`~repro.testing.statistical` — seed-sweep Chebyshev acceptance for
   the samplers, with explicit failure probabilities.
 * :mod:`~repro.testing.fuzz` — the seeded fuzz driver behind

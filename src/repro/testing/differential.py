@@ -5,7 +5,7 @@ tasklet kernel, the vectorized kernel, the probe kernel, the full PIM
 pipeline under three host execution engines, two CPU baseline models, and
 two test-only references.  On the exact path (no sampling) all of them must
 return *bit-identical* integer counts, and the three execution engines must
-additionally produce bit-identical simulated clocks, charge ledgers, traces,
+additionally produce bit-identical simulated clocks, charge ledgers,
 telemetry span trees and metric snapshots (the determinism contract of
 :mod:`repro.pimsim.executor`; wall-clock span fields are excluded — they are
 real measurements).
@@ -94,15 +94,6 @@ class DifferentialReport:
             f"differential[{self.graph_name}]: {len(self.counts)} implementations, "
             f"truth={self.truth}, {status}"
         )
-
-
-def _trace_tuples(result: TcResult) -> list[tuple]:
-    if result.trace is None:
-        return []
-    return [
-        (e.phase, e.kind, e.seconds, e.payload_bytes, e.detail)
-        for e in result.trace.events
-    ]
 
 
 def _span_signature(result: TcResult) -> list[tuple[str, float]]:
@@ -254,7 +245,7 @@ class DifferentialRunner:
         results: dict[str, TcResult],
         report: DifferentialReport,
     ) -> None:
-        """Engines must agree bit-for-bit on counts, clocks, charges, traces."""
+        """Engines must agree bit-for-bit on counts, clocks, charges, spans, metrics."""
         if "serial" in results:
             anchor_name = "serial"
         else:
@@ -278,8 +269,6 @@ class DifferentialRunner:
                     f"{prefix}: charge ledger differs "
                     f"({_charge_signature(result)} != {_charge_signature(anchor)})"
                 )
-            if _trace_tuples(result) != _trace_tuples(anchor):
-                report.parity_failures.append(f"{prefix}: trace events differ")
             if _span_signature(result) != _span_signature(anchor):
                 report.parity_failures.append(
                     f"{prefix}: telemetry span tree differs"
@@ -304,7 +293,7 @@ class DifferentialRunner:
     ) -> None:
         """``fastvec`` vs the serial ``fast`` (merge) anchor: only the count
         arithmetic differs between the variants, so *every* simulated artifact
-        — clocks, charges, traces, spans, metrics, the imbalance ledger —
+        — clocks, charges, spans, metrics, the imbalance ledger —
         must be bit-identical, not just the counts.  This is the cross-variant
         leg of the determinism contract: wall-clock is the only thing the
         vectorized kernel is allowed to change.
@@ -319,8 +308,6 @@ class DifferentialRunner:
             )
         if _charge_signature(fastvec) != _charge_signature(merge):
             report.parity_failures.append(f"{prefix}: charge ledger differs")
-        if _trace_tuples(fastvec) != _trace_tuples(merge):
-            report.parity_failures.append(f"{prefix}: trace events differ")
         if _span_signature(fastvec) != _span_signature(merge):
             report.parity_failures.append(f"{prefix}: telemetry span tree differs")
         a_snap = merge.telemetry.metrics.snapshot() if merge.telemetry else {}

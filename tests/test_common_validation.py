@@ -73,6 +73,15 @@ class TestCheckProbability:
         with pytest.raises(ConfigurationError):
             check_probability("p", "half")
 
+    @pytest.mark.parametrize("value", [True, False, np.True_, "0.5"])
+    def test_rejects_bool_and_text(self, value):
+        with pytest.raises(ConfigurationError, match="must be a float"):
+            check_probability("p", value, allow_zero=True)
+
+    def test_accepts_numpy_scalars(self):
+        assert check_probability("p", np.float32(0.5)) == 0.5
+        assert check_probability("p", np.int64(1)) == 1.0
+
 
 class TestCheckIntArray:
     def test_passes_int_array(self):

@@ -30,6 +30,8 @@ class TestOptionsValidation:
             PimTcOptions(uniform_p=0.0)
         with pytest.raises(ConfigurationError):
             PimTcOptions(uniform_p=1.5)
+        with pytest.raises(ConfigurationError, match="uniform_p"):
+            PimTcOptions(uniform_p=True)
 
     def test_mg_params_must_pair(self):
         with pytest.raises(ConfigurationError):

@@ -234,10 +234,7 @@ class TestStaticPipelineGolden:
         ) == want["kernel"]
 
         # Each configuration really takes the path it is here for.
-        remapped = any(
-            e.kind == "broadcast" and e.detail == "remap_table"
-            for e in result.trace.events
-        )
+        remapped = result.telemetry.find("sample_creation/broadcast_remap") is not None
         assert remapped == ("misra_gries_k" in options)
         if name == "sampled":
             assert np.all(result.edges_routed > options["reservoir_capacity"])

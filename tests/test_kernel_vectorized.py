@@ -195,8 +195,8 @@ class TestPropertyParity:
 
 class TestKernelObject:
     def test_keeps_trace_compatible_name(self):
-        # The trace recorder embeds kernel.name in load/launch events; the
-        # vectorized kernel must be indistinguishable there.
+        # The load_kernel and launch spans carry kernel.name as an attribute;
+        # the vectorized kernel must be indistinguishable there.
         kernel = VecTriangleCountKernel(num_nodes=10)
         assert kernel.name == "triangle_count"
 

@@ -26,6 +26,16 @@ def nx_locals(g: COOGraph) -> np.ndarray:
     return np.array([t for _, t in sorted(nx.triangles(G).items())])
 
 
+def _gather_spans(result):
+    """The run's ``triangle_count/gather`` spans, in recording order."""
+    return [
+        s
+        for top in result.telemetry.root.children
+        for s in top.walk()
+        if s.path == "triangle_count/gather"
+    ]
+
+
 class TestOracle:
     def test_triangle_plus_pendant(self, triangle_graph):
         assert count_triangles_per_node(triangle_graph).tolist() == [1, 1, 1, 0]
@@ -137,17 +147,15 @@ class TestPimLocalPipeline:
 
     def test_scalar_gather_cost_parity_with_global(self, small_graph):
         """The local path reads ``triangle_count`` through the same gather as
-        the global path — not a free ``mram.load`` — so it must emit the
-        identical transfer event (same simulated seconds and payload bytes).
+        the global path — not a free ``mram.load`` — so it must open the
+        identical gather span (same simulated seconds and payload bytes).
         """
 
         def scalar_gathers(result):
             return [
-                (e.seconds, e.payload_bytes)
-                for e in result.trace.events
-                if e.phase == "triangle_count"
-                and e.kind == "gather"
-                and e.detail == "triangle_count"
+                (s.sim_seconds, s.attrs["bytes"])
+                for s in _gather_spans(result)
+                if s.attrs["symbol"] == "triangle_count"
             ]
 
         glob = PimTriangleCounter(num_colors=3, seed=1).count(small_graph)
@@ -164,8 +172,8 @@ class TestPimLocalPipeline:
         (the old ``count_read=False`` path left it untouched)."""
         loc = PimTriangleCounter(num_colors=3, seed=1).count_local(small_graph)
         gathers = [
-            e
-            for e in loc.trace.events
-            if e.kind == "gather" and e.detail == "triangle_count"
+            s for s in _gather_spans(loc) if s.attrs["symbol"] == "triangle_count"
         ]
-        assert gathers and all(e.seconds > 0 and e.payload_bytes > 0 for e in gathers)
+        assert gathers and all(
+            s.sim_seconds > 0 and s.attrs["bytes"] > 0 for s in gathers
+        )

@@ -67,7 +67,7 @@ class TestRunReportV2:
 class TestChromeDpuLanes:
     def test_one_lane_per_dpu_under_simulated_pid(self):
         _, telemetry, result = _run(detail=True)
-        events = chrome_trace(telemetry, result.trace)["traceEvents"]
+        events = chrome_trace(telemetry)["traceEvents"]
         lane_tids = {
             e["tid"] for e in events if e.get("pid") == 2 and e.get("ph") == "X"
         } - {0}
@@ -80,8 +80,8 @@ class TestChromeDpuLanes:
         assert any(n.startswith("dpu") for n in names)
 
     def test_no_detail_spans_no_lanes(self):
-        _, telemetry, result = _run(detail=False)
-        events = chrome_trace(telemetry, result.trace)["traceEvents"]
+        _, telemetry, _ = _run(detail=False)
+        events = chrome_trace(telemetry)["traceEvents"]
         lane_tids = {
             e["tid"] for e in events if e.get("pid") == 2 and e.get("ph") == "X"
         } - {0}

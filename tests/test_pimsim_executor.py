@@ -2,8 +2,8 @@
 
 The determinism contract (see ``repro.pimsim.executor``): the execution
 engine changes host wall-clock only.  Triangle counts, per-phase simulated
-seconds, per-DPU charge vectors, and trace event totals must be bit-identical
-across serial / thread / process engines.
+seconds, per-DPU charge vectors, span trees and metric snapshots must be
+bit-identical across serial / thread / process engines.
 """
 
 from __future__ import annotations
@@ -41,14 +41,14 @@ def _run(graph, engine: str, jobs: int | None = 2, **opts):
 # ------------------------------------------------------------------- parity
 @pytest.mark.parametrize("engine", ENGINES)
 def test_engine_parity_exact_path(seeded_graph, engine):
-    """Counts, per-phase simulated seconds and trace totals match serial."""
+    """Counts, per-phase simulated seconds, spans and metrics match serial."""
     base = _run(seeded_graph, "serial", num_colors=5)
     result = _run(seeded_graph, engine, num_colors=5)
     assert result.count == base.count
     assert result.clock.phases == base.clock.phases  # bit-identical, not approx
     assert np.array_equal(result.per_dpu_counts, base.per_dpu_counts)
-    assert result.trace.counts_by_kind() == base.trace.counts_by_kind()
-    assert result.trace.total_seconds() == base.trace.total_seconds()
+    assert result.telemetry.span_signature() == base.telemetry.span_signature()
+    assert result.telemetry.metrics.snapshot() == base.telemetry.metrics.snapshot()
     assert result.kernel == base.kernel
 
 

@@ -21,6 +21,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.core.dynamic import DynamicPimCounter
 from repro.graph.coo import COOGraph
 from repro.graph.generators import erdos_renyi
@@ -41,6 +42,7 @@ from repro.service.protocol import (
     ProtocolError,
     encode_frame,
 )
+from repro.service import server as server_module
 from repro.service.session import GraphSession, SessionError
 
 
@@ -208,6 +210,31 @@ class TestAdmission:
                 client.close_session("one")
                 client.open_session("two", num_nodes=10)  # slot freed by close
                 client.close_session("two")
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"max_queue_depth": 0},
+            {"max_queue_depth": -3},
+            {"max_sessions": 0},
+            {"max_sessions": True},
+        ],
+    )
+    def test_config_refuses_limits_that_admit_nothing(self, limits):
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(**limits)
+
+    @pytest.mark.parametrize("flag", ["--queue-depth", "--max-sessions"])
+    def test_serve_refuses_zero_limit_before_binding(self, flag, monkeypatch, capsys):
+        def bind(coro):
+            coro.close()
+            raise AssertionError("repro-serve started serving")
+
+        monkeypatch.setattr(server_module.asyncio, "run", bind)
+        with pytest.raises(SystemExit) as exc:
+            server_module.main([flag, "0", "--port", "0"])
+        assert exc.value.code == 2
+        assert "must be > 0, got 0" in capsys.readouterr().err
 
     def test_duplicate_session_rejected(self):
         with running_service() as server:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -104,8 +105,8 @@ class TestCsv:
 
 class TestChromeTrace:
     def test_wall_and_sim_tracks(self, run):
-        result, tel = run
-        doc = chrome_trace(tel, result.trace)
+        _, tel = run
+        doc = chrome_trace(tel)
         events = doc["traceEvents"]
         assert doc["displayTimeUnit"] == "ms"
         pids = {e["pid"] for e in events}
@@ -114,11 +115,23 @@ class TestChromeTrace:
         assert {"setup", "sample_creation", "triangle_count"} <= {
             e["name"] for e in span_events
         }
-        sim_events = [e for e in events if e.get("cat") == "sim"]
-        assert len(sim_events) == len(result.trace.events)
-        # simulated track is laid out cumulatively
+        sim_events = [
+            e for e in events if e["pid"] == 2 and e["ph"] == "X" and e["tid"] == 0
+        ]
+        paths = [
+            s.path
+            for top in tel.root.children
+            for s in top.walk()
+            if not re.match(r"dpu\d+$", s.name)
+        ]
+        assert [e["args"]["path"] for e in sim_events] == paths
+        # simulated track is laid out in recording order
         starts = [e["ts"] for e in sim_events]
         assert starts == sorted(starts)
+        # and each top-level phase starts where the previous one ended
+        tops = [e for e in sim_events if "/" not in e["args"]["path"]]
+        for prev, nxt in zip(tops, tops[1:]):
+            assert nxt["ts"] == pytest.approx(prev["ts"] + prev["dur"])
 
     def test_nesting_depth_maps_to_tid(self):
         tel = Telemetry()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import PimTriangleCounter
+from repro.core.kernel_tc_fast import KernelCosts
 from repro.telemetry import PHASE_NAMES, Telemetry
 
 
@@ -124,17 +125,22 @@ class TestExecutorParity:
 
 
 class TestResultTraceSummary:
-    def test_to_dict_includes_trace_summary(self, small_graph):
-        result = PimTriangleCounter(num_colors=3, seed=1).count(small_graph)
-        summary = result.to_dict()["trace"]
-        assert summary["events"] == len(result.trace)
-        assert summary["counts_by_kind"]["launch"] >= 1
-        assert summary["total_seconds"] == pytest.approx(
-            sum(e.seconds for e in result.trace.events)
+    def test_metrics_count_every_transfer(self, small_graph):
+        """Ingest scatters and the remap broadcast reach the transfer metrics."""
+        tel = Telemetry()
+        result = PimTriangleCounter(
+            num_colors=3, seed=1, batch_edges=100, misra_gries_k=16,
+            misra_gries_t=4, telemetry=tel,
+        ).count(small_graph)
+        snap = tel.metrics.snapshot()
+        batches = result.meta["ingest_batches"]
+        assert batches > 1
+        assert snap["transfer.scatter.ops"]["value"] == batches
+        assert snap["transfer.scatter.bytes"]["value"] == (
+            int(result.edges_routed.sum()) * KernelCosts().edge_bytes
         )
-        assert summary["total_bytes"] == sum(
-            e.payload_bytes for e in result.trace.events
-        )
+        assert snap["transfer.broadcast.ops"]["value"] == 1
+        assert snap["transfer.gather.ops"]["value"] == 1
 
     def test_local_pipeline_records_spans_too(self, small_graph):
         tel = Telemetry()
