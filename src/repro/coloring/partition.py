@@ -20,6 +20,7 @@ gathered from the input arrays through the sort permutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -49,21 +50,32 @@ class EdgePartition:
 
     Attributes
     ----------
-    per_dpu:
-        List (length = #triplets) of ``(src, dst)`` int64 array pairs.
+    src, dst:
+        Every routed copy's endpoints (int64), grouped by core in core
+        order; within a core, copies keep their stream order.
     counts:
         Edges routed to each core for this batch.
     edges_in:
         Size of the input batch (before the C-fold duplication).
     """
 
-    per_dpu: list[tuple[np.ndarray, np.ndarray]]
+    src: np.ndarray
+    dst: np.ndarray
     counts: np.ndarray
     edges_in: int
 
     @property
     def total_routed(self) -> int:
         return int(self.counts.sum())
+
+    @cached_property
+    def per_dpu(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each core's ``(src, dst)`` copies: views into :attr:`src`, :attr:`dst`."""
+        bounds = np.concatenate(([0], np.cumsum(self.counts)))
+        return [
+            (self.src[bounds[i] : bounds[i + 1]], self.dst[bounds[i] : bounds[i + 1]])
+            for i in range(self.counts.size)
+        ]
 
 
 @dataclass
@@ -100,11 +112,8 @@ class ColoringPartitioner:
         t = self.table.num_dpus
         m = int(src.size)
         if m == 0:
-            empty = [
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-                for _ in range(t)
-            ]
-            return EdgePartition(per_dpu=empty, counts=np.zeros(t, dtype=np.int64), edges_in=0)
+            empty = np.empty(0, dtype=np.int64)
+            return EdgePartition(empty, empty, np.zeros(t, dtype=np.int64), 0)
         cu = self.node_colors(src)
         cv = self.node_colors(dst)
         # For each third color x, the LUT gives the target core of (cu, cv, x).
@@ -117,15 +126,12 @@ class ColoringPartitioner:
         # Copy k of the flattened (c, m) layout is edge k % m, so "wrap"
         # gathers every copy's endpoints from the input arrays themselves.
         order = np.argsort(flat_ids, kind="stable")
-        flat_src = src.astype(np.int64, copy=False).take(order, mode="wrap")
-        flat_dst = dst.astype(np.int64, copy=False).take(order, mode="wrap")
-        counts = np.bincount(flat_ids, minlength=t).astype(np.int64)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        per_dpu = [
-            (flat_src[bounds[i] : bounds[i + 1]], flat_dst[bounds[i] : bounds[i + 1]])
-            for i in range(t)
-        ]
-        return EdgePartition(per_dpu=per_dpu, counts=counts, edges_in=m)
+        return EdgePartition(
+            src=src.astype(np.int64, copy=False).take(order, mode="wrap"),
+            dst=dst.astype(np.int64, copy=False).take(order, mode="wrap"),
+            counts=np.bincount(flat_ids, minlength=t).astype(np.int64),
+            edges_in=m,
+        )
 
     def mono_mask(self) -> np.ndarray:
         return self.table.mono_mask()

@@ -13,22 +13,34 @@ wedges.  This module drives that loop:
   + per-new-edge binary search and merge intersection), and returns the new
   global count with the monochromatic correction re-applied.
 
-The functional arithmetic does the same incremental work.  Each core keeps
-its sample as one sorted key array (both orientations of every edge, so a
-node's neighbours are one slice); a round sorts only the core's routed
-delta, merges it in, and counts only the triangles that contain a delta
-edge: each delta edge intersects its endpoints' neighbour slices, and a
-triangle holding ``k`` delta edges weighs ``1/k``.  Deletions count the same
-way against the pre-deletion sample and subtract, on the cores that received
-tombstones only.  Inserts have set semantics (self-loops, repeats and
-resident edges are ignored), which is what makes the delta exact.
-:meth:`DynamicPimCounter.recount` recounts every core from scratch — the
-oracle the tests hold the incremental counts to.  Reservoir and uniform
-sampling are disabled on this path, matching the paper's dynamic experiment
-which counts exactly.
+The functional arithmetic does the same incremental work.  Every core's
+sample is kept as sorted int64 keys ``c * (n+1)**2 + x * (n+1) + y`` over
+both orientations of every edge, so core ``c``'s sample is one key range
+and node ``x``'s neighbours on it are one slice.  The keys live in a few
+*shards*, each a contiguous core range with one sorted array; a shard of
+more than one core is halved at a core boundary after a round that leaves
+it above :data:`SHARD_MAX_KEYS` keys.  Per-core counts are independent
+(the coloring argument), so a round handles all cores at once: each chunk
+sorts its routed copies once, then runs one merge, one delta-triangle count
+and one charge-input search per shard it touches.  A delta edge intersects
+its endpoints' neighbour slices, and a triangle holding ``k`` delta edges
+weighs ``1/k``; one ``bincount`` over ``core * 4 + k`` gives every core's
+count.  Deletions count the same way against the pre-deletion sample and
+subtract.  Inserts have set semantics (self-loops, repeats and resident
+edges are ignored), which is what makes the delta exact.  The per-core
+charges go through :meth:`repro.pimsim.dpu.Dpu.balanced_seconds`, the
+vector form of the one cost model.
+
+:meth:`DynamicPimCounter.recount` recounts every core from scratch, and
+:meth:`DynamicPimCounter._merge_and_charge` merges and charges one core at a
+time: the oracles the tests hold the rounds' counts and charges to.
+Reservoir and uniform sampling are disabled on this path, matching the
+paper's dynamic experiment which counts exactly.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -38,6 +50,7 @@ from ..common.errors import ConfigurationError, GraphFormatError
 from ..common.rng import RngFactory
 from ..graph.coo import COOGraph
 from ..pimsim.config import PimSystemConfig
+from ..pimsim.dpu import Dpu
 from ..pimsim.kernel import SimClock
 from ..pimsim.system import PimSystem
 from ..streaming.estimators import combine_dpu_counts
@@ -49,6 +62,13 @@ from .region_index import binary_search_steps, build_region_index, expand_slices
 from .remap import RemapTable, apply_remap
 
 __all__ = ["DynamicUpdateResult", "DynamicPimCounter"]
+
+#: Keys a shard of more than one core may hold after a round; a larger one
+#: is halved.  Each chunk's merge and count allocate temporaries in
+#: proportion to the shards it touches, so one array for every core would
+#: make each insert's transient memory grow with the whole resident graph.
+#: 2**16 keys are 512 KiB.
+SHARD_MAX_KEYS = 1 << 16
 
 
 class DynamicUpdateResult:
@@ -124,9 +144,14 @@ def _contains(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 def _forward_degrees(keys: np.ndarray, nodes: np.ndarray, n1: np.int64) -> np.ndarray:
     """Neighbours of each node with a larger ID: its region length in the
-    ``u < v`` oriented sample."""
+    ``u < v`` oriented sample.
+
+    ``nodes`` are core-node IDs ``c * n1 + x`` (``x`` alone for one core's
+    unprefixed keys): node ``x``'s forward neighbours on core ``c`` start
+    at key ``(c * n1 + x) * n1 + x + 1``.
+    """
     end, past_self = np.searchsorted(
-        keys, np.concatenate(((nodes + 1) * n1, nodes * n1 + nodes + 1))
+        keys, np.concatenate(((nodes + 1) * n1, nodes * n1 + nodes % n1 + 1))
     ).reshape(2, -1)
     return end - past_self
 
@@ -146,19 +171,29 @@ def _merge(old: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _delta_triangles(
-    keys: np.ndarray, marked: np.ndarray, a: np.ndarray, b: np.ndarray, n1: np.int64
-) -> int:
-    """Triangles of a core's sample that hold at least one of the edges ``(a, b)``.
+    keys: np.ndarray,
+    marked: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    n1: np.int64,
+    first: int = 0,
+    num_cores: int = 1,
+) -> np.ndarray:
+    """Triangles of each core's sample that hold at least one of the edges ``(a, b)``.
 
-    ``keys`` is the sample as sorted ``x * n1 + y`` keys over both
-    orientations of every edge; it holds every ``(a, b)`` edge (distinct,
-    ``a < b``), and ``marked`` flags their keys.  Each such edge walks the
-    shorter of its endpoints' neighbour slices and binary-searches the other
-    endpoint for each candidate, so a triangle holding ``k`` of the edges is
-    found ``k`` times and weighs ``1/k``.
+    ``keys`` holds the samples of cores ``first .. first + num_cores - 1``
+    as sorted keys ``c * n1**2 + x * n1 + y`` over both orientations of
+    every edge; ``a`` and ``b`` are core-node IDs ``p = c * n1 + x``
+    (distinct, ``a < b``, both on the edge's core), and ``p``'s neighbours
+    are the keys in ``[p * n1, (p + 1) * n1)``.  ``keys`` holds every
+    ``(a, b)`` edge and ``marked`` flags their keys.  Each such edge walks
+    the shorter of its endpoints' neighbour slices and binary-searches the
+    other endpoint for each candidate, so a triangle holding ``k`` of the
+    edges is found ``k`` times and weighs ``1/k``.  Returns one count per
+    core.
     """
     if not a.size:
-        return 0
+        return np.zeros(num_cores, dtype=np.int64)
     lo_a, hi_a, lo_b, hi_b = np.searchsorted(
         keys, np.concatenate((a * n1, (a + 1) * n1, b * n1, (b + 1) * n1))
     ).reshape(4, -1)
@@ -172,8 +207,9 @@ def _delta_triangles(
     at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
     closed = keys[at] == probe
     k = 1 + marked[pos[closed]].astype(np.int64) + marked[at[closed]]
-    found = np.bincount(k, minlength=4)
-    return int(found[1] + found[2] // 2 + found[3] // 3)
+    core = short[closed] // n1 - first
+    found = np.bincount(core * 4 + k, minlength=4 * num_cores).reshape(-1, 4)
+    return found[:, 1] + found[:, 2] // 2 + found[:, 3] // 3
 
 
 class DynamicPimCounter:
@@ -208,8 +244,12 @@ class DynamicPimCounter:
             raise ConfigurationError("misra_gries_k and misra_gries_t go together")
         if batch_edges is not None and batch_edges < 1:
             raise ConfigurationError("batch_edges must be >= 1 or None")
-        if (int(num_nodes) + 1) ** 2 > np.iinfo(np.int64).max:
-            raise ConfigurationError("num_nodes too large for int64 edge keys")
+        needed = num_triplets(num_colors)
+        if needed * (int(num_nodes) + 1) ** 2 > np.iinfo(np.int64).max:
+            raise ConfigurationError(
+                f"num_nodes={num_nodes} too large for int64 edge keys on "
+                f"{needed} PIM cores: {needed} * (num_nodes + 1)**2 must be < 2**63"
+            )
         #: Streaming-ingest chunk size for update batches, in edges; ``None``
         #: makes each update batch one chunk.
         self.batch_edges = batch_edges
@@ -224,7 +264,6 @@ class DynamicPimCounter:
         self.system = PimSystem(system_config or PimSystemConfig())
         # Check the core budget before the partitioner builds its triplet
         # table, which grows as C**3.
-        needed = num_triplets(num_colors)
         if needed > self.system.config.total_dpus:
             raise ConfigurationError(
                 f"{num_colors} colors need {needed} PIM cores but the system has "
@@ -234,10 +273,14 @@ class DynamicPimCounter:
         self.partitioner = ColoringPartitioner(num_colors, rngs.stream("coloring"))
         self.clock = SimClock()
         self.dpus = self.system.allocate(self.partitioner.num_dpus, self.clock)
-        # Resident per-core samples: sorted ``x * (n + 1) + y`` keys over both
-        # orientations of every edge, so node x's neighbours are one slice.
+        # Resident samples: sorted ``c * (n + 1)**2 + x * (n + 1) + y`` keys
+        # over both orientations of every edge, so core c's sample is one
+        # key range and node x's neighbours on it are one slice.  Shard i
+        # holds cores ``_firsts[i]`` up to the next shard's first core.
         self._n1 = np.int64(self.num_nodes + 1)
-        self._keys = [np.empty(0, dtype=np.int64) for _ in range(self.partitioner.num_dpus)]
+        self._n2 = self._n1 * self._n1
+        self._firsts = [0]
+        self._shards = [np.empty(0, dtype=np.int64)]
         # Regions (nodes with a larger-ID neighbour) of each core's sample:
         # the size of the table the kernel's per-edge binary search walks.
         self._regions = np.zeros(self.partitioner.num_dpus, dtype=np.int64)
@@ -264,7 +307,7 @@ class DynamicPimCounter:
     @property
     def resident_bytes(self) -> int:
         """Bytes of sample records currently resident across all PIM cores."""
-        records = sum(int(keys.size) // 2 for keys in self._keys)
+        records = sum(int(keys.size) for keys in self._shards) // 2
         return records * self.costs.edge_bytes
 
     def recount(self) -> np.ndarray:
@@ -273,11 +316,70 @@ class DynamicPimCounter:
         The oracle for the per-core counts the rounds maintain incrementally;
         update rounds never call it.
         """
-        counts = np.zeros(len(self._keys), dtype=np.int64)
-        for d, keys in enumerate(self._keys):
-            u, v = self._oriented(keys)
+        counts = np.zeros(self.partitioner.num_dpus, dtype=np.int64)
+        for d in range(counts.size):
+            u, v = self._oriented(self._core_keys(d))
             counts[d] = _count_forward_sparse(u, v, self.num_nodes)
         return counts
+
+    # ------------------------------------------------------------------ shards
+    def _spans(self) -> list[tuple[int, int]]:
+        """Each shard's core range ``[first, last)``."""
+        return list(zip(self._firsts, self._firsts[1:] + [self.partitioner.num_dpus]))
+
+    def _touched(self, keys: np.ndarray) -> list[tuple[int, int, int, int, int]]:
+        """``(shard, first, last, lo, hi)`` for each shard whose key range
+        holds the sorted keys ``keys[lo:hi]``, with its core range."""
+        bounds = np.array(self._firsts + [self.partitioner.num_dpus], dtype=np.int64)
+        cuts = np.searchsorted(keys, bounds * self._n2).tolist()
+        return [
+            (i, first, last, cuts[i], cuts[i + 1])
+            for i, (first, last) in enumerate(self._spans())
+            if cuts[i] < cuts[i + 1]
+        ]
+
+    def _core_sizes(self) -> np.ndarray:
+        """Resident keys on each core: two per edge."""
+        return np.concatenate([
+            np.diff(np.searchsorted(keys, np.arange(first, last + 1) * self._n2))
+            for (first, last), keys in zip(self._spans(), self._shards)
+        ])
+
+    def _locate(self, d: int) -> tuple[int, int, int]:
+        """``(shard, lo, hi)``: core ``d``'s keys are ``_shards[shard][lo:hi]``."""
+        i = bisect_right(self._firsts, d) - 1
+        lo, hi = np.searchsorted(self._shards[i], np.array([d, d + 1]) * self._n2)
+        return i, int(lo), int(hi)
+
+    def _core_keys(self, d: int) -> np.ndarray:
+        """Core ``d``'s sample as sorted ``x * (n + 1) + y`` keys."""
+        i, lo, hi = self._locate(d)
+        return self._shards[i][lo:hi] - d * self._n2
+
+    def _resident(self, keys: np.ndarray) -> np.ndarray:
+        """Whether each core-prefixed key is resident."""
+        order = np.argsort(keys)
+        ordered = keys[order]
+        found = np.zeros(keys.size, dtype=bool)
+        for i, _, _, lo, hi in self._touched(ordered):
+            found[order[lo:hi]] = _contains(self._shards[i], ordered[lo:hi])
+        return found
+
+    def _split_shards(self) -> None:
+        """Halve each shard of more than one core that holds more than
+        :data:`SHARD_MAX_KEYS` keys, at the core boundary between its halves,
+        until none does."""
+        i = 0
+        while i < len(self._shards):
+            first, last = self._spans()[i]
+            keys = self._shards[i]
+            if last - first > 1 and keys.size > SHARD_MAX_KEYS:
+                mid = (first + last) // 2
+                cut = int(np.searchsorted(keys, mid * self._n2))
+                self._shards[i : i + 1] = [keys[:cut].copy(), keys[cut:].copy()]
+                self._firsts.insert(i + 1, mid)
+            else:
+                i += 1
 
     def _oriented(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A core's sample as ``u < v`` edges, sorted lexicographically."""
@@ -306,7 +408,8 @@ class DynamicPimCounter:
             return
         self._closed = True
         self.dpus.free()
-        self._keys = [np.empty(0, dtype=np.int64) for _ in self._keys]
+        self._firsts = [0]
+        self._shards = [np.empty(0, dtype=np.int64)]
         self._regions[:] = 0
 
     def _check_batch(self, batch: COOGraph) -> None:
@@ -337,11 +440,15 @@ class DynamicPimCounter:
     ) -> float:
         """Merge one routed chunk into core ``d``'s sample and count what it adds.
 
-        The chunk's edges are new to the core.  Sorts the chunk, merges it
-        into the sorted sample, adds the triangles it closes to the core's
-        count, and charges the incremental kernel work (batch sort, one merge
-        pass over the resident sample, per-new-edge search + intersection).
-        Returns the core's compute seconds for this chunk.
+        The one-core reference for :meth:`_merge_chunk`, which rounds call:
+        the tests hold every chunk's per-core counts, regions and compute
+        seconds to this method's, as :meth:`recount` holds the counts.  The
+        chunk's edges are new to the core.  Sorts the chunk, merges it into
+        the sorted sample, adds the triangles it closes to the core's count,
+        and charges the incremental kernel work (batch sort, one merge pass
+        over the resident sample, per-new-edge search + intersection) to the
+        core's :class:`~repro.pimsim.dpu.Dpu`.  Returns the core's compute
+        seconds for this chunk.
         """
         dpu = self.dpus.dpus[d]
         dpu.reset_charges()
@@ -349,7 +456,9 @@ class DynamicPimCounter:
         if not b:
             return dpu.compute_seconds()
         n1 = self._n1
-        old = self._keys[d]
+        i, lo, hi = self._locate(d)
+        shard = self._shards[i]
+        old = shard[lo:hi] - d * self._n2
         old_m = old.size // 2
         nu, nv, _ = orient_and_sort(new_src, new_dst)
         delta = np.sort(np.concatenate((nu * n1 + nv, nv * n1 + nu)))
@@ -357,8 +466,8 @@ class DynamicPimCounter:
         firsts = nu[np.concatenate(([True], nu[1:] != nu[:-1]))]
         self._regions[d] += int((_forward_degrees(old, firsts, n1) == 0).sum())
         keys, marked = _merge(old, delta)
-        self._keys[d] = keys
-        self._raw_counts[d] += _delta_triangles(keys, marked, nu, nv, n1)
+        self._shards[i] = np.concatenate((shard[:lo], keys + d * self._n2, shard[hi:]))
+        self._raw_counts[d] += int(_delta_triangles(keys, marked, nu, nv, n1)[0])
 
         if remap is None:
             search_steps = binary_search_steps(int(self._regions[d]))
@@ -368,27 +477,13 @@ class DynamicPimCounter:
             ).reshape(4, -1)
             d_v = end_v - past_v  # forward degree of v
             suffix = end_u - past_uv  # forward neighbours of u past v
+            merge_steps = np.where(d_v > 0, suffix + d_v, 0).sum()
         else:
-            # The remap reorders node IDs, so the per-edge quantities the
-            # kernel pays for come from a remapped, re-sorted view of the
-            # sample; only the charges read it.
-            eff_src, eff_dst = apply_remap(remap, *self._oriented(keys))
-            eff_ns, eff_nd = apply_remap(remap, new_src, new_dst)
-            eff_n1 = np.int64(remap.remapped_num_nodes + 1)
-            u, v, _ = orient_and_sort(eff_src, eff_dst)
-            index = build_region_index(u)
-            search_steps = index.search_steps()
-            ru = np.minimum(eff_ns, eff_nd)
-            rv = np.maximum(eff_ns, eff_nd)
-            d_v = index.degrees_of(rv)
-            _, ends_u = index.lookup_many(ru)
-            pos = np.searchsorted(u * eff_n1 + v, ru * eff_n1 + rv, side="right")
-            suffix = np.maximum(ends_u - pos, 0)
+            search_steps, merge_steps = self._remapped_steps(keys, new_src, new_dst, remap)
         # Incremental kernel: sort the batch, one merge pass over the
         # resident sample, then per-new-edge search + intersection.
         sort_steps = b * max(1, int(np.ceil(np.log2(max(b, 2)))))
         merge_pass = old_m + b
-        merge_steps = np.where(d_v > 0, suffix + d_v, 0).sum()
         remap_instr = (
             self.costs.remap_instr_per_edge * merge_pass if remap is not None else 0.0
         )
@@ -405,17 +500,121 @@ class DynamicPimCounter:
         # (read + write) plus the counting phase's region reads.
         passes = 2 + (2 if remap is not None else 0)
         nbytes = (passes * merge_pass + int(merge_steps)) * self.costs.edge_bytes
-        self._charge_mram_reads(dpu, nbytes, b)
-        return dpu.compute_seconds()
-
-    @staticmethod
-    def _charge_mram_reads(dpu, nbytes: int, batch: int) -> None:
-        """Charge ``nbytes`` of MRAM reads split evenly over the tasklets,
-        each tasklet's share in ``max(1, batch // 8)`` transfers."""
         tasklets = dpu.config.num_tasklets
         dpu.charge_mram_read_all(
             np.full(tasklets, nbytes // tasklets, dtype=np.int64),
-            np.full(tasklets, max(1, batch // 8), dtype=np.int64),
+            np.full(tasklets, max(1, b // 8), dtype=np.int64),
+        )
+        return dpu.compute_seconds()
+
+    def _remapped_steps(
+        self, keys: np.ndarray, new_src: np.ndarray, new_dst: np.ndarray, remap: RemapTable
+    ) -> tuple[int, int]:
+        """``(search steps, merge steps)`` the kernel pays for one core's chunk
+        under a Misra-Gries remap.
+
+        The remap reorders node IDs, so these come from a remapped, re-sorted
+        view of the core's merged sample ``keys`` (``x * (n + 1) + y``); only
+        the charges read it.
+        """
+        eff_src, eff_dst = apply_remap(remap, *self._oriented(keys))
+        eff_ns, eff_nd = apply_remap(remap, new_src, new_dst)
+        eff_n1 = np.int64(remap.remapped_num_nodes + 1)
+        u, v, _ = orient_and_sort(eff_src, eff_dst)
+        index = build_region_index(u)
+        ru = np.minimum(eff_ns, eff_nd)
+        rv = np.maximum(eff_ns, eff_nd)
+        d_v = index.degrees_of(rv)
+        _, ends_u = index.lookup_many(ru)
+        pos = np.searchsorted(u * eff_n1 + v, ru * eff_n1 + rv, side="right")
+        suffix = np.maximum(ends_u - pos, 0)
+        return index.search_steps(), int(np.where(d_v > 0, suffix + d_v, 0).sum())
+
+    def _merge_chunk(self, part: EdgePartition, remap: RemapTable | None) -> np.ndarray:
+        """Merge one routed chunk into every core's sample and count what it adds.
+
+        :meth:`_merge_and_charge` for all cores at once, to the bit: one sort
+        of the chunk's copies, then one merge, one delta-triangle count and
+        one charge-input search per shard the chunk touches.  Returns each
+        core's compute seconds for the chunk (0 where it routed nothing).
+        """
+        n1, n2 = self._n1, self._n2
+        t = self.partitioner.num_dpus
+        b = part.counts
+        core = np.repeat(np.arange(t, dtype=np.int64), b)
+        lo = np.minimum(part.src, part.dst)
+        hi = np.maximum(part.src, part.dst)
+        old_m = self._core_sizes() // 2
+        # Within a core the copies come in (third color, stream) order, so
+        # the forward keys are sorted here; the core order already holds.
+        fwd = np.sort(core * n2 + lo * n1 + hi)
+        delta = np.sort(np.concatenate((fwd, core * n2 + hi * n1 + lo)))
+        pu = fwd // n1  # core-node IDs of each edge's endpoints
+        pv = core * n1 + (fwd - pu * n1)
+        steps = np.zeros(fwd.size, dtype=np.int64)
+        for i, first, last, e0, e1 in self._touched(fwd):
+            cores = last - first
+            u, v = pu[e0:e1], pv[e0:e1]
+            old = self._shards[i]
+            # A batch first node with no larger-ID neighbour yet opens a region.
+            firsts = u[np.concatenate(([True], u[1:] != u[:-1]))]
+            opened = firsts[_forward_degrees(old, firsts, n1) == 0]
+            self._regions[first:last] += np.bincount(opened // n1 - first, minlength=cores)
+            # Each edge holds two delta keys of its own core.
+            keys, marked = _merge(old, delta[2 * e0 : 2 * e1])
+            self._shards[i] = keys
+            self._raw_counts[first:last] += _delta_triangles(
+                keys, marked, u, v, n1, first, cores
+            )
+            if remap is None:
+                end_u, past_uv, end_v, past_v = np.searchsorted(
+                    keys,
+                    np.concatenate(((u + 1) * n1, fwd[e0:e1] + 1, (v + 1) * n1, v * n1 + v % n1 + 1)),
+                ).reshape(4, -1)
+                d_v = end_v - past_v  # forward degree of v
+                suffix = end_u - past_uv  # forward neighbours of u past v
+                steps[e0:e1] = np.where(d_v > 0, suffix + d_v, 0)
+        if remap is None:
+            search_steps = binary_search_steps(self._regions)
+            cum = np.concatenate(([0], np.cumsum(steps)))
+            ends = np.cumsum(b)
+            merge_steps = cum[ends] - cum[ends - b]
+        else:
+            search_steps = np.zeros(t, dtype=np.int64)
+            merge_steps = np.zeros(t, dtype=np.int64)
+            for d in np.flatnonzero(b):
+                search_steps[d], merge_steps[d] = self._remapped_steps(
+                    self._core_keys(d), *part.per_dpu[d], remap
+                )
+        # The charges of _merge_and_charge, one vector entry per core.
+        sort_steps = b * binary_search_steps(np.maximum(b, 2) - 1)  # ceil(log2(max(b, 2)))
+        merge_pass = old_m + b
+        remap_instr = (
+            self.costs.remap_instr_per_edge * merge_pass if remap is not None else 0.0
+        )
+        instr = (
+            remap_instr
+            + self.costs.sort_instr_per_step * sort_steps
+            + self.costs.insert_instr_per_edge * merge_pass
+            + self.costs.edge_loop_instr * b
+            + self.costs.binsearch_instr_per_step * search_steps * b
+            + self.costs.merge_instr_per_step * merge_steps.astype(np.float64)
+        )
+        passes = 2 + (2 if remap is not None else 0)
+        nbytes = (passes * merge_pass + merge_steps) * self.costs.edge_bytes
+        return self._core_seconds(b, instr, nbytes)
+
+    def _core_seconds(self, b: np.ndarray, instr: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+        """Compute seconds of each core that received ``b > 0`` edges: balanced
+        ``instr`` plus ``nbytes`` of MRAM reads split over the tasklets, each
+        tasklet's share in ``max(1, b // 8)`` transfers; 0 on the others."""
+        run = b > 0
+        return Dpu.balanced_seconds(
+            self.system.config.dpu,
+            self.system.config.cost,
+            np.where(run, instr, 0.0),
+            np.where(run, nbytes, 0),
+            np.where(run, np.maximum(1, b // 8), 0),
         )
 
     @staticmethod
@@ -532,18 +731,14 @@ class DynamicPimCounter:
 
         Drops self-loops, repeats within the batch (either orientation) and
         edges already resident.  Every resident edge has a replica on its
-        home core, so residency is one binary search there.
+        home core, so residency is one lookup of its key there.
         """
         src, dst = batch.src, batch.dst
         keys = self._canonical_keys(src, dst)
         _, first = np.unique(keys, return_index=True)
         first = np.sort(first[src[first] != dst[first]])
         home = self._canonical_dpus(src[first], dst[first])
-        fresh = np.ones(first.size, dtype=bool)
-        for h in np.unique(home):
-            sel = np.flatnonzero(home == h)
-            fresh[sel] = ~_contains(self._keys[h], keys[first[sel]])
-        first = first[fresh]
+        first = first[~self._resident(home * self._n2 + keys[first])]
         if first.size == src.size:
             return src, dst
         return src[first], dst[first]
@@ -567,12 +762,10 @@ class DynamicPimCounter:
         chunk = self.batch_edges or max(1, src.size)
         for _, s_chunk, d_chunk in iter_edge_batches(src, dst, chunk):
             h_k, part, xfer = self._route(s_chunk, d_chunk)
-            times = [
-                self._merge_and_charge(d, new_src, new_dst, remap)
-                for d, (new_src, new_dst) in enumerate(part.per_dpu)
-            ]
-            d_k = xfer + cost.launch_latency + (max(times) if times else 0.0)
+            times = self._merge_chunk(part, remap)
+            d_k = xfer + cost.launch_latency + float(times.max())
             self.clock.advance("dynamic", schedule.step(h_k, d_k))
+        self._split_shards()
         return self._finish_round(
             before_total,
             "insert",
@@ -617,51 +810,45 @@ class DynamicPimCounter:
         # Misra-Gries summary so stale hubs don't stay pinned in the remap.
         self._decay_mg(batch)
 
-        # Each distinct tombstone's home core, hashed once for the batch.
-        n1 = self._n1
-        tombstones, first = np.unique(
-            self._canonical_keys(batch.src, batch.dst), return_index=True
+        n1, n2 = self._n1, self._n2
+        b = partition.counts
+        m = self._core_sizes() // 2  # resident edges per core before the round
+        copy_core = np.repeat(np.arange(b.size, dtype=np.int64), b)
+        tombstones = np.unique(
+            copy_core * n2 + self._canonical_keys(partition.src, partition.dst)
         )
-        homes = self._canonical_dpus(batch.src[first], batch.dst[first])
-        removed_edges = 0  # logical edges, counted on each edge's home core
-        times = []
-        for d in np.flatnonzero(partition.counts):
-            del_src, del_dst = partition.per_dpu[d]
-            dpu = self.dpus.dpus[d]
-            dpu.reset_charges()
-            keys = self._keys[d]
-            m = keys.size // 2
-            b = int(del_src.size)
-            if m:
-                gone = np.unique(self._canonical_keys(del_src, del_dst))
-                gone = gone[_contains(keys, gone)]
-                if gone.size:
-                    a = gone // n1
-                    c = gone - a * n1
-                    marked = np.zeros(keys.size, dtype=bool)
-                    marked[np.searchsorted(keys, np.concatenate((gone, c * n1 + a)))] = True
-                    self._raw_counts[d] -= _delta_triangles(keys, marked, a, c, n1)
-                    keys = keys[~marked]
-                    self._keys[d] = keys
-                    firsts = np.unique(a)
-                    self._regions[d] -= int((_forward_degrees(keys, firsts, n1) == 0).sum())
-                    # An edge's replicas live on C cores; its logical removal
-                    # counts on its home core only, rather than dividing a
-                    # replica tally by an assumed factor.
-                    home = homes[np.searchsorted(tombstones, gone)]
-                    removed_edges += int((home == d).sum())
-                # Tombstone search + one compaction pass over the sample.
-                log_m = max(1, int(np.ceil(np.log2(m + 1))))
-                instr = (
-                    self.costs.binsearch_instr_per_step * log_m * b
-                    + self.costs.insert_instr_per_edge * m
-                )
-                dpu.charge_balanced(instr)
-                self._charge_mram_reads(dpu, 2 * m * self.costs.edge_bytes, b)
-            times.append(dpu.compute_seconds())
-        self.clock.advance(
-            "dynamic", cost.launch_latency + (max(times) if times else 0.0)
+        gone = tombstones[self._resident(tombstones)]
+        pa = gone // n1  # core-node IDs of each dropped edge's endpoints
+        core = pa // n1
+        x, y = pa - core * n1, gone - pa * n1
+        pb = core * n1 + y
+        for i, first, last, lo, hi in self._touched(gone):
+            keys = self._shards[i]
+            u, v = pa[lo:hi], pb[lo:hi]
+            marked = np.zeros(keys.size, dtype=bool)
+            marked[np.searchsorted(keys, np.concatenate((gone[lo:hi], v * n1 + x[lo:hi])))] = True
+            self._raw_counts[first:last] -= _delta_triangles(
+                keys, marked, u, v, n1, first, last - first
+            )
+            keys = keys[~marked]
+            self._shards[i] = keys
+            firsts = u[np.concatenate(([True], u[1:] != u[:-1]))]
+            closed = firsts[_forward_degrees(keys, firsts, n1) == 0]
+            self._regions[first:last] -= np.bincount(closed // n1 - first, minlength=last - first)
+        # An edge's replicas live on C cores; its logical removal counts on
+        # its home core only, rather than dividing a replica tally by an
+        # assumed factor.
+        removed_edges = int((self._canonical_dpus(x, y) == core).sum())
+        # Each core holding a sample runs a tombstone search + one compaction
+        # pass over it.
+        instr = (
+            self.costs.binsearch_instr_per_step * binary_search_steps(m) * b
+            + self.costs.insert_instr_per_edge * m
         )
+        times = self._core_seconds(
+            np.where(m > 0, b, 0), instr, 2 * m * self.costs.edge_bytes
+        )
+        self.clock.advance("dynamic", cost.launch_latency + float(times.max()))
         return self._finish_round(
             before_total,
             "delete",

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from typing import Callable
 
@@ -110,6 +109,8 @@ def _count_forward_sparse(
     m = int(u.size)
     if m == 0:
         return 0
+    import scipy.sparse as sp  # loaded on the first product, not at import
+
     n = int(num_nodes)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..common.errors import KernelLaunchError
 from ..pimsim.dpu import Dpu
@@ -50,6 +49,8 @@ def local_counts_from_arrays(
     m = int(u.size)
     if m == 0:
         return local
+    import scipy.sparse as sp  # loaded on the first product, not at import
+
     ones = np.ones(2 * m, dtype=np.int64)
     sym = sp.csr_matrix(
         (ones, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)

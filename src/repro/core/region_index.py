@@ -18,10 +18,16 @@ import numpy as np
 __all__ = ["RegionIndex", "binary_search_steps", "build_region_index", "expand_slices"]
 
 
-def binary_search_steps(num_regions: int) -> int:
+def binary_search_steps(num_regions: int | np.ndarray) -> int | np.ndarray:
     """Binary-search step count for one lookup in an ``R``-region table:
-    ``ceil(log2(R + 1))``, and 1 for an empty table."""
-    return int(np.ceil(np.log2(num_regions + 1))) if num_regions else 1
+    ``ceil(log2(R + 1))``, and 1 for an empty table.
+
+    ``num_regions`` is one count or an array of them (one per core); the
+    result has the same shape.  ``ceil(log2(R + 1))`` is the bit length of
+    ``R``, read exactly from the binary exponent ``frexp`` returns.
+    """
+    steps = np.maximum(np.frexp(np.asarray(num_regions, dtype=np.float64))[1], 1)
+    return int(steps) if steps.ndim == 0 else steps.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ to bound the intermediate product's memory, exactly like the global oracle.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .coo import COOGraph
 
@@ -35,6 +34,8 @@ def count_triangles_per_node(
     m = g.num_edges
     if m == 0:
         return local
+    import scipy.sparse as sp  # loaded on the first product, not at import
+
     ones = np.ones(2 * m, dtype=np.int64)
     rows = np.concatenate([g.src, g.dst])
     cols = np.concatenate([g.dst, g.src])

@@ -189,6 +189,38 @@ class Dpu:
                 done = budgets[i]
         return float(t)
 
+    @staticmethod
+    def balanced_seconds(
+        config: DpuConfig,
+        cost: CostModel,
+        instructions: np.ndarray,
+        dma_bytes: np.ndarray,
+        dma_requests: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`compute_seconds` of many cores at once, for balanced work.
+
+        Core ``i`` runs ``instructions[i]`` split evenly over its tasklets
+        and reads ``dma_bytes[i]`` from MRAM, each tasklet its
+        ``dma_bytes[i] // num_tasklets`` share in ``dma_requests[i]``
+        transfers.  Each entry equals, to the bit, what one core returns
+        from :meth:`reset_charges`, :meth:`charge_balanced`,
+        :meth:`charge_mram_read_all` and :meth:`compute_seconds`: the float
+        operations are the same and come in the same order.
+        """
+        tasklets = config.num_tasklets
+        per_tasklet = np.asarray(instructions, dtype=np.float64) / tasklets
+        # Equal budgets drain together at the rate of all tasklets active.
+        rate = config.clock_hz / max(tasklets, config.pipeline_saturation)
+        pipeline = np.where(per_tasklet > 0.0, per_tasklet / rate, 0.0)
+        requests = np.asarray(dma_requests, dtype=np.int64)
+        nbytes = np.asarray(dma_bytes, dtype=np.int64) // tasklets
+        share = requests * cost.mram_dma_latency_cycles / config.clock_hz + (
+            nbytes / cost.mram_read_bandwidth
+        )
+        # Sum each core's tasklet row as compute_seconds sums its ledger.
+        dma = np.repeat(share, tasklets).reshape(-1, tasklets).sum(axis=1)
+        return np.maximum(pipeline, dma)
+
     def charge_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the per-tasklet (instruction, DMA-seconds) ledgers.
 

@@ -25,8 +25,20 @@ from .protocol import (
     ProtocolError,
     new_trace_id,
 )
-from .server import ServiceConfig, TriangleService
 from .session import GraphSession, SessionError
+
+#: Names resolved from :mod:`repro.service.server` on first use, so that
+#: ``python -m repro.service.server`` does not import the server module
+#: once as a package member and again as ``__main__``.
+_SERVER_NAMES = ("ServiceConfig", "TriangleService")
+
+
+def __getattr__(name: str):
+    if name in _SERVER_NAMES:
+        from . import server
+
+        return getattr(server, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "CLIENT_ERROR_CODES",

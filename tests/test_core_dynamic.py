@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, GraphFormatError
+from repro.core import dynamic
 from repro.core.dynamic import DynamicPimCounter
 from repro.graph.coo import COOGraph
 from repro.graph.datasets import get_dataset
 from repro.graph.generators import erdos_renyi, rmat
 from repro.graph.triangles import count_triangles
+from repro.pimsim.config import PimSystemConfig
 
 
 class TestValidation:
@@ -36,6 +38,19 @@ class TestValidation:
     def test_rejects_node_range_beyond_edge_keys(self):
         with pytest.raises(ConfigurationError):
             DynamicPimCounter(2**32, num_colors=1)
+
+    def test_key_range_covers_every_core(self):
+        """Keys carry the core, so ``num_dpus * (n + 1)**2`` must fit int64."""
+        with pytest.raises(ConfigurationError, match="int64 edge keys"):
+            DynamicPimCounter(10**9, num_colors=8)
+
+    @pytest.mark.parametrize(
+        "colors, limit", [(8, 277_238_945), (4, 679_093_955), (1, 3_037_000_498)]
+    )
+    def test_node_limit_per_color_count(self, colors, limit):
+        assert DynamicPimCounter(limit, num_colors=colors).num_nodes == limit
+        with pytest.raises(ConfigurationError, match="int64 edge keys"):
+            DynamicPimCounter(limit + 1, num_colors=colors)
 
     @pytest.mark.parametrize("op", ["apply_update", "apply_deletion"])
     def test_rejects_node_ids_out_of_range(self, op):
@@ -299,3 +314,177 @@ class TestGoldenClock:
         assert [r.round_seconds.hex() for r in rounds] == per_round
         assert dyn.cumulative_seconds.hex() == total
         assert dyn.triangles == 8517
+
+
+class TestPipelineBoundGoldenClock:
+    """:class:`TestGoldenClock`'s stream with near-free MRAM, pinned to the bit.
+
+    At the default costs every deleting core is MRAM-bound, so no other
+    test sees the deletion round's instruction charge.  Here every core is
+    pipeline-bound and each round's seconds follow its instructions.
+    """
+
+    #: (misra_gries_k, batch_edges) -> per-round round_seconds, as float hex.
+    GOLDEN = {
+        (0, None): [
+            "0x1.32d8c7fe2a240p-13", "0x1.3ded3ef7f3c00p-13",
+            "0x1.40166c3dee080p-13", "0x1.818b026a85300p-14",
+        ],
+        (64, 300): [
+            "0x1.785fb10bfbcc0p-12", "0x1.968729f821d60p-12",
+            "0x1.58cb7456961e0p-12", "0x1.d578221da2780p-14",
+        ],
+    }
+
+    @pytest.mark.parametrize("mg_k, batch_edges", sorted(GOLDEN, key=str))
+    def test_round_clocks_are_pinned(self, mg_k, batch_edges):
+        rng = np.random.default_rng(7)
+        graph = rmat(9, 8, rng).canonicalize().shuffle(rng)
+        drop = np.random.default_rng(8).choice(graph.num_edges, 100, replace=False)
+        dyn = DynamicPimCounter(
+            graph.num_nodes,
+            num_colors=8,
+            seed=3,
+            misra_gries_k=mg_k,
+            misra_gries_t=8 if mg_k else 0,
+            batch_edges=batch_edges,
+            system_config=PimSystemConfig().with_cost(
+                mram_read_bandwidth=1e18, mram_dma_latency_cycles=0.0
+            ),
+        )
+        rounds = [
+            dyn.apply_update(graph.slice(s, min(s + 1000, graph.num_edges)))
+            for s in range(0, graph.num_edges, 1000)
+        ]
+        rounds.append(
+            dyn.apply_deletion(COOGraph(graph.src[drop], graph.dst[drop], graph.num_nodes))
+        )
+        assert [r.round_seconds.hex() for r in rounds] == self.GOLDEN[(mg_k, batch_edges)]
+        assert dyn.triangles == 8517
+
+
+class TestChunkDifferential:
+    """Every chunk a round merges equals the one-core reference, core by core.
+
+    ``_merge_chunk`` handles all cores of a chunk with array operations;
+    ``_merge_and_charge`` handles one core at a time.  A second
+    counter replays each chunk through the reference, and after every chunk
+    the two agree on each core's compute seconds (as float hex), triangle
+    count, region count and sample.  At the default costs most cores are
+    MRAM-bound, so each stream also runs with near-free MRAM, where the
+    seconds follow the instruction charges.
+    """
+
+    #: System configurations: the default, and one whose cores are
+    #: pipeline-bound because MRAM reads cost (almost) nothing.
+    SYSTEMS = {
+        "default": PimSystemConfig(),
+        "pipeline-bound": PimSystemConfig().with_cost(
+            mram_read_bandwidth=1e18, mram_dma_latency_cycles=0.0
+        ),
+    }
+
+    @staticmethod
+    def _checked(dyn: DynamicPimCounter, ref: DynamicPimCounter) -> list[int]:
+        merge_chunk = dyn._merge_chunk
+        chunks = []
+
+        def checked(part, remap):
+            times = merge_chunk(part, remap)
+            want = [
+                ref._merge_and_charge(d, src, dst, remap)
+                for d, (src, dst) in enumerate(part.per_dpu)
+            ]
+            assert [float(x).hex() for x in times] == [x.hex() for x in want]
+            np.testing.assert_array_equal(dyn._raw_counts, ref._raw_counts)
+            np.testing.assert_array_equal(dyn._regions, ref._regions)
+            for d in np.flatnonzero(part.counts):
+                np.testing.assert_array_equal(dyn._core_keys(d), ref._core_keys(d))
+            chunks.append(int(part.counts.sum()))
+            return times
+
+        dyn._merge_chunk = checked
+        return chunks
+
+    @staticmethod
+    def _stream(graph, batch, deletions):
+        m = graph.num_edges
+        inserts = [graph.slice(s, min(s + batch, m)) for s in range(0, m, batch)]
+        return inserts, [
+            COOGraph(graph.src[sel], graph.dst[sel], graph.num_nodes) for sel in deletions
+        ]
+
+    def _replay(self, dyn, ref, inserts, deletes, reinserts):
+        chunks = self._checked(dyn, ref)
+        for batch in inserts:
+            dyn.apply_update(batch)
+        for batch in deletes:
+            # Deletion rounds have no one-core reference: delete on both, so
+            # the re-inserts start from the same samples.
+            dyn.apply_deletion(batch)
+            ref.apply_deletion(batch)
+        for batch in reinserts:
+            dyn.apply_update(batch)
+        np.testing.assert_array_equal(dyn._raw_counts, dyn.recount())
+        return chunks
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_service_shaped_stream(self, system):
+        rng = np.random.default_rng(5)
+        graph = rmat(10, 8, rng).canonicalize().shuffle(rng)
+        m = graph.num_edges
+        inserts, deletes = self._stream(
+            graph, 128, [np.arange(s, min(s + 128, m // 4)) for s in range(0, m // 4, 128)]
+        )
+        dyn, ref = (
+            DynamicPimCounter(
+                graph.num_nodes, num_colors=4, seed=9, system_config=self.SYSTEMS[system]
+            )
+            for _ in "ab"
+        )
+        # Re-insert the deleted quarter: its first batches hold it exactly.
+        chunks = self._replay(dyn, ref, inserts, deletes, inserts[: len(deletes)])
+        assert len(chunks) == len(inserts) + len(deletes)
+        assert dyn.triangles == count_triangles(graph)
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_misra_gries_chunked_stream(self, system):
+        rng = np.random.default_rng(6)
+        graph = rmat(9, 8, rng).canonicalize().shuffle(rng)
+        m = graph.num_edges
+        drop = np.random.default_rng(7).choice(m, 150, replace=False)
+        inserts, deletes = self._stream(graph, 1000, [drop])
+        dyn, ref = (
+            DynamicPimCounter(
+                graph.num_nodes, num_colors=8, seed=3, misra_gries_k=64,
+                misra_gries_t=8, batch_edges=300, system_config=self.SYSTEMS[system],
+            )
+            for _ in "ab"
+        )
+        chunks = self._replay(dyn, ref, inserts, deletes, deletes)
+        assert len(chunks) > len(inserts) + 1  # batches split into chunks
+        assert dyn.triangles == count_triangles(graph)
+
+
+class TestShards:
+    """The resident keys live in core-range shards of bounded size."""
+
+    def test_stream_splits_shards_and_stays_exact(self, monkeypatch):
+        monkeypatch.setattr(dynamic, "SHARD_MAX_KEYS", 64)
+        rng = np.random.default_rng(2)
+        graph = rmat(9, 8, rng).canonicalize().shuffle(rng)
+        dyn = DynamicPimCounter(graph.num_nodes, num_colors=4, seed=1, batch_edges=200)
+        for batch in graph.split_batches(6):
+            dyn.apply_update(batch)
+            spans = dyn._spans()
+            assert spans[0][0] == 0 and spans[-1][1] == dyn.partitioner.num_dpus
+            for (first, last), keys in zip(spans, dyn._shards):
+                assert last - first == 1 or keys.size <= dynamic.SHARD_MAX_KEYS
+                assert np.all(np.diff(keys) > 0)
+                assert keys.size == 0 or (
+                    first * dyn._n2 <= keys[0] and keys[-1] < last * dyn._n2
+                )
+        assert len(dyn._shards) > 1
+        assert dyn.triangles == count_triangles(graph)
+        np.testing.assert_array_equal(dyn._raw_counts, dyn.recount())
+        assert dyn.resident_bytes == graph.num_edges * 4 * dyn.costs.edge_bytes

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.orient import orient_and_sort
-from repro.core.region_index import build_region_index
+from repro.core.region_index import binary_search_steps, build_region_index
 
 
 @pytest.fixture
@@ -69,6 +69,17 @@ class TestSearchSteps:
     def test_empty_index_one_step(self):
         idx = build_region_index(np.array([], dtype=np.int64))
         assert idx.search_steps() == 1
+
+    def test_array_form_matches_log_formula(self):
+        """One count per core gives each core's ``ceil(log2(R + 1))``,
+        including around every power of two."""
+        powers = 2 ** np.arange(1, 40, dtype=np.int64)
+        regions = np.concatenate((np.arange(0, 5000), powers - 1, powers, powers + 1))
+        want = [int(np.ceil(np.log2(r + 1))) if r else 1 for r in regions.tolist()]
+        got = binary_search_steps(regions)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert [binary_search_steps(int(r)) for r in regions[:50]] == want[:50]
 
 
 class TestConsistencyWithSort:

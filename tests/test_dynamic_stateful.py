@@ -7,7 +7,8 @@ core's incrementally maintained count must equal a from-scratch recount of
 its sample.  Insert batches arrive raw — repeats, reversed pairs, self-loops
 and already-resident edges included — and the model is a set, so the test
 also pins the counter's set semantics.  This is the fully-dynamic
-correctness argument in executable form.
+correctness argument in executable form.  A second machine runs with the
+shard bound lowered to a few keys, so rounds cross and split shards.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 from hypothesis import strategies as st
 
+from repro.core import dynamic
 from repro.core.dynamic import DynamicPimCounter
 from repro.graph.coo import COOGraph
 from repro.graph.triangles import count_triangles
@@ -36,6 +38,18 @@ def canonical(edges) -> set[tuple[int, int]]:
 
 
 class DynamicCounterMachine(RuleBasedStateMachine):
+    #: Shard bound for the run; ``None`` keeps the module's.
+    shard_max_keys: int | None = None
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._saved_bound = dynamic.SHARD_MAX_KEYS
+        if self.shard_max_keys is not None:
+            dynamic.SHARD_MAX_KEYS = self.shard_max_keys
+
+    def teardown(self) -> None:
+        dynamic.SHARD_MAX_KEYS = self._saved_bound
+
     @initialize(
         colors=st.integers(min_value=1, max_value=4),
         seed=st.integers(0, 50),
@@ -95,6 +109,13 @@ class DynamicCounterMachine(RuleBasedStateMachine):
         np.testing.assert_array_equal(self.counter._raw_counts, self.counter.recount())
 
     @invariant()
+    def shards_stay_bounded(self):
+        if not hasattr(self, "counter"):
+            return
+        for (first, last), keys in zip(self.counter._spans(), self.counter._shards):
+            assert last - first == 1 or keys.size <= dynamic.SHARD_MAX_KEYS
+
+    @invariant()
     def time_never_regresses(self):
         if not hasattr(self, "counter"):
             return
@@ -105,3 +126,11 @@ DynamicCounterMachine.TestCase.settings = settings(
     max_examples=15, stateful_step_count=12, deadline=None
 )
 TestDynamicCounterStateful = DynamicCounterMachine.TestCase
+
+
+class SmallShardMachine(DynamicCounterMachine):
+    shard_max_keys = 4
+
+
+SmallShardMachine.TestCase.settings = DynamicCounterMachine.TestCase.settings
+TestDynamicCounterSmallShards = SmallShardMachine.TestCase

@@ -226,3 +226,53 @@ class TestVectorDmaCharges:
             with pytest.raises(KernelLaunchError, match="tasklet DMA charges"):
                 getattr(dpu, method)(nbytes, reqs)
         assert _ledgers(dpu) == _ledgers(make_dpu())
+
+
+class TestBalancedSeconds:
+    """``Dpu.balanced_seconds`` equals, core by core and to the bit, one
+    ``Dpu`` charged with balanced instructions and an even MRAM read."""
+
+    @staticmethod
+    def _one_core(dpu: Dpu, instr: float, nbytes: int, requests: int) -> float:
+        tasklets = dpu.config.num_tasklets
+        dpu.reset_charges()
+        dpu.charge_balanced(instr)
+        dpu.charge_mram_read_all(
+            np.full(tasklets, nbytes // tasklets, dtype=np.int64),
+            np.full(tasklets, requests, dtype=np.int64),
+        )
+        return dpu.compute_seconds()
+
+    @pytest.mark.parametrize("tasklets", [16, 11, 13])
+    def test_bit_identical_to_per_dpu_calls(self, tasklets):
+        rng = np.random.default_rng(tasklets)
+        cores = 400
+        instr = rng.random(cores) * 10.0 ** rng.integers(0, 10, cores)
+        nbytes = rng.integers(0, 1 << 27, cores)
+        requests = rng.integers(1, 5000, cores)
+        # Zero-work cores, and cores with only one of the two resources.
+        instr[::9] = 0.0
+        nbytes[::9] = 0
+        requests[::9] = 0
+        instr[1::7] = 0.0
+        nbytes[2::11] = 0
+        dpu = make_dpu(num_tasklets=tasklets)
+        got = Dpu.balanced_seconds(dpu.config, dpu.cost, instr, nbytes, requests)
+        want = [
+            self._one_core(dpu, float(instr[i]), int(nbytes[i]), int(requests[i]))
+            for i in range(cores)
+        ]
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+        assert got[0] == 0.0
+
+    def test_pipeline_and_dma_bound_cores(self):
+        dpu = make_dpu()
+        got = Dpu.balanced_seconds(
+            dpu.config, dpu.cost, np.array([1e9, 16.0]), np.array([0, 1 << 30]),
+            np.array([0, 1]),
+        )
+        pipeline, dma = got
+        assert pipeline == pytest.approx(1e9 / dpu.config.clock_hz)
+        # DMA time sums over the tasklets: the bytes once, one setup each.
+        setup = 16 * dpu.cost.mram_dma_latency_cycles / dpu.config.clock_hz
+        assert dma == pytest.approx((1 << 30) / dpu.cost.mram_read_bandwidth + setup)

@@ -14,6 +14,9 @@ The load-bearing guarantees (see docs/service.md):
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -21,6 +24,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import repro
 from repro.common.errors import ConfigurationError
 from repro.core.dynamic import DynamicPimCounter
 from repro.graph.coo import COOGraph
@@ -388,6 +392,17 @@ class TestProtocol:
                 assert "PIM cores" in str(err.value)
                 assert client.ping()["sessions"] == 0
 
+    def test_open_beyond_key_range_is_refused(self):
+        """Resident keys carry the core, so ``num_nodes`` is capped by the
+        session's core count (277,238,945 at C=8)."""
+        with running_service() as server:
+            with ServiceClient(server.url) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.request("open", session="wide", num_nodes=10**9, num_colors=8)
+                assert err.value.code == "invalid_request"
+                assert "int64 edge keys" in str(err.value)
+                assert client.ping()["sessions"] == 0
+
     #: ``open`` fields that were once truncated or accepted as given.
     ILL_TYPED_OPEN_FIELDS = [
         dict(num_nodes=5, num_colors=2.7),
@@ -479,3 +494,31 @@ class TestCliServeUrl:
         assert str(count_triangles(small_graph)) in out
         records = load_ndjson(tmp_path / "events" / "cli-smoke.ndjson")
         assert stream_status(records) == "ok"
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's ``repro``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestServerModule:
+    def test_run_as_module_imports_server_once(self):
+        """``python -m repro.service.server`` must not find the module already
+        imported by its package (runpy warns, and it would run twice)."""
+        done = _python("-W", "error::RuntimeWarning", "-m", "repro.service.server", "--help")
+        assert done.returncode == 0, done.stderr
+        assert "repro-serve" in done.stdout or "usage" in done.stdout
+
+    def test_service_import_loads_no_scipy(self):
+        """scipy is imported by the sparse products, not by the server."""
+        done = _python(
+            "-c",
+            "import sys, repro, repro.service.server; "
+            "print(sorted(m for m in ('scipy', 'numpy.testing', 'numpy.f2py', "
+            "'numpy.ma') if m in sys.modules))",
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
